@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,48 +128,97 @@ class BoundAudit:
 
 
 # ---------------------------------------------------------------------------
-# Internal plumbing
+# The coefficient pass
 # ---------------------------------------------------------------------------
-
-def _arrays(
-    system: EventSystem, dep: DependencyGraph
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (event probabilities, indicator matrix, atom weights)."""
-    dep.validate_for(system)
-    return system.event_probs, system.indicator_matrix, system.space.weights
-
 
 def _mass(weights: np.ndarray, mask: np.ndarray) -> float:
     """Probability of the atom set marked by ``mask``."""
     return float(np.dot(weights, mask))
 
 
-def _signed_mixing_terms(
-    probs: np.ndarray, indicators: np.ndarray, weights: np.ndarray, dep: DependencyGraph
-) -> np.ndarray:
-    """Per-index signed differences ``P(U_i | A_i) - P(U_i)``."""
+def _shift(
+    weights: np.ndarray, union: np.ndarray, event: np.ndarray, p_event: float
+) -> float:
+    """``P(union | event) - P(union)`` for atom masks ``union`` and ``event``."""
+    return _mass(weights, union & event) / p_event - _mass(weights, union)
+
+
+class _Coefficients(NamedTuple):
+    """Everything one pass over the indicator matrix yields."""
+
+    mixing: tuple[float, float, float]
+    declustering: tuple[float, float, float, float, float, float]
+    phi_tilde: float
+    union_form: float
+
+    def report(self) -> CoefficientReport:
+        # CoefficientReport's fields are mixing, declustering, phi_tilde in order
+        return CoefficientReport(*self.mixing, *self.declustering, self.phi_tilde)
+
+
+def _coefficient_pass(system: EventSystem, dep: DependencyGraph) -> _Coefficients:
+    """Every coefficient from one validated walk over ``i = 0, ..., d-1``.
+
+    For each ``i`` the weakly dependent predecessors ``j < i, j ∉ D_i``
+    give ``U_i``, the strongly dependent ones ``j < i, j ∈ D_i`` give
+    ``V_i``, and the events outside ``D_i ∪ {i}`` give the count ``Z^i``,
+    whose support ``{Z^i ≥ 1}`` is the union ``W_i``.  Unions are exact
+    boolean masks; every sum over ``i`` accumulates in index order.
+    """
+    dep.validate_for(system)
+    probs = system.event_probs
+    indicators = system.indicator_matrix
+    weights = system.space.weights
     d = probs.size
-    terms = np.zeros(d)
+    tail = np.ones(d)  # tail[i] = ∏_{k > i} (1 - P(A_k)), empty product = 1
+    if d > 1:
+        tail[:-1] = np.cumprod((1.0 - probs)[::-1])[::-1][1:]
+    pair_probs = (indicators * weights) @ indicators.T  # P(A_i ∩ A_j)
+
+    mixing_terms = np.zeros(d)  # P(U_i | A_i) - P(U_i)
+    delta1 = delta2 = d1p = d2p = d1pp = d2pp = 0.0
+    phi_tilde = union_form = 0.0
     for i in range(d):
-        weak = [j for j in range(i) if j not in dep.neighbor_sets[i]]
-        if not weak:
-            continue
-        union = indicators[weak[0]].copy()
-        for j in weak[1:]:
-            union |= indicators[j]
-        p_union = _mass(weights, union)
-        p_union_given = _mass(weights, union & indicators[i]) / probs[i]
-        terms[i] = p_union_given - p_union
-    return terms
+        strong = dep.neighbor_sets[i]
+        in_i = indicators[i]
+        weak_pred = [j for j in range(i) if j not in strong]
+        strong_pred = [j for j in range(i) if j in strong]
+        outside = [j for j in range(d) if j != i and j not in strong]
 
+        if weak_pred:
+            union = indicators[weak_pred].any(axis=0)
+            mixing_terms[i] = _shift(weights, union, in_i, probs[i])
 
-def _tail_products(probs: np.ndarray) -> np.ndarray:
-    """``tail[i] = ∏_{k > i} (1 - P(A_k))`` (empty product = 1)."""
-    comp = 1.0 - probs
-    tail = np.ones(probs.size)
-    if probs.size > 1:
-        tail[:-1] = np.cumprod(comp[::-1])[::-1][1:]
-    return tail
+        if strong_pred:
+            union = indicators[strong_pred].any(axis=0)
+            delta1 += _mass(weights, union & in_i) * tail[i]
+            delta2 += probs[i] * _mass(weights, union) * tail[i]
+            d1p += float(pair_probs[i, strong_pred].sum())
+            d2p += float(probs[i] * probs[strong_pred].sum())
+        if strong:
+            strong_all = sorted(strong)
+            d1pp += float(pair_probs[i, strong_all].sum())
+            d2pp += float(probs[i] * probs[strong_all].sum())
+
+        if outside:  # otherwise Z^i ≡ 0 on both measures: zero variation
+            z = indicators[outside].sum(axis=0)
+            n_bins = len(outside) + 1
+            marginal = np.bincount(z, weights=weights, minlength=n_bins)
+            conditional = (
+                np.bincount(z[in_i], weights=weights[in_i], minlength=n_bins)
+                / probs[i]
+            )
+            phi_tilde += float(probs[i] * np.abs(conditional - marginal).sum())
+            union_form += float(probs[i] * abs(_shift(weights, z > 0, in_i, probs[i])))
+
+    phi_plus = max(0.0, float(mixing_terms.max()))
+    phi_minus = max(0.0, float(-mixing_terms.min()))
+    return _Coefficients(
+        mixing=(max(phi_plus, phi_minus), phi_plus, phi_minus),
+        declustering=(delta1, delta2, d1p, d2p, d1pp, d2pp),
+        phi_tilde=phi_tilde,
+        union_form=union_form,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +236,7 @@ def mixing_phi(
     each floored at 0.  Indices with no weakly dependent predecessor
     contribute 0 (both union probabilities are 0 for an empty union).
     """
-    probs, indicators, weights = _arrays(system, dep)
-    terms = _signed_mixing_terms(probs, indicators, weights, dep)
-    phi_plus = max(0.0, float(terms.max()))
-    phi_minus = max(0.0, float(-terms.min()))
-    return max(phi_plus, phi_minus), phi_plus, phi_minus
+    return _coefficient_pass(system, dep).mixing
 
 
 def declustering(
@@ -212,33 +257,7 @@ def declustering(
     * the double-primed variants extend those sums over *all* of ``D_i``
       (not only predecessors).
     """
-    probs, indicators, weights = _arrays(system, dep)
-    d = probs.size
-    tail = _tail_products(probs)
-    weighted = indicators * weights  # row i holds the masses of A_i's atoms
-    pair_probs = weighted @ indicators.T  # P(A_i ∩ A_j), exact to rounding
-
-    delta1 = 0.0
-    delta2 = 0.0
-    d1p = 0.0
-    d2p = 0.0
-    d1pp = 0.0
-    d2pp = 0.0
-    for i in range(d):
-        strong_pred = [j for j in range(i) if j in dep.neighbor_sets[i]]
-        if strong_pred:
-            union = indicators[strong_pred[0]].copy()
-            for j in strong_pred[1:]:
-                union |= indicators[j]
-            delta1 += _mass(weights, union & indicators[i]) * tail[i]
-            delta2 += probs[i] * _mass(weights, union) * tail[i]
-            d1p += float(pair_probs[i, strong_pred].sum())
-            d2p += float(probs[i] * probs[strong_pred].sum())
-        strong_all = sorted(dep.neighbor_sets[i])
-        if strong_all:
-            d1pp += float(pair_probs[i, strong_all].sum())
-            d2pp += float(probs[i] * probs[strong_all].sum())
-    return delta1, delta2, d1p, d2p, d1pp, d2pp
+    return _coefficient_pass(system, dep).declustering
 
 
 def arratia_phi_tilde(system: EventSystem, dep: DependencyGraph) -> float:
@@ -249,22 +268,7 @@ def arratia_phi_tilde(system: EventSystem, dep: DependencyGraph) -> float:
     weakly dependent on ``A_i``.  The distribution of ``Z^i`` is computed by
     exact atom enumeration.
     """
-    probs, indicators, weights = _arrays(system, dep)
-    d = probs.size
-    total = 0.0
-    for i in range(d):
-        outside = [j for j in range(d) if j != i and j not in dep.neighbor_sets[i]]
-        if not outside:
-            continue  # Z^i ≡ 0 on both measures: zero variation
-        z = indicators[outside].sum(axis=0)
-        n_bins = len(outside) + 1
-        marginal = np.bincount(z, weights=weights, minlength=n_bins)
-        in_i = indicators[i]
-        conditional = (
-            np.bincount(z[in_i], weights=weights[in_i], minlength=n_bins) / probs[i]
-        )
-        total += float(probs[i] * np.abs(conditional - marginal).sum())
-    return total
+    return _coefficient_pass(system, dep).phi_tilde
 
 
 def arratia_union_form(system: EventSystem, dep: DependencyGraph) -> float:
@@ -274,38 +278,12 @@ def arratia_union_form(system: EventSystem, dep: DependencyGraph) -> float:
     ``W_i = ∪ {A_j : j ∉ D_i ∪ {i}}``; since ``{W_i} = {Z^i ≥ 1}``, each
     term is at most the total-variation distance in ``phi_tilde``.
     """
-    probs, indicators, weights = _arrays(system, dep)
-    d = probs.size
-    total = 0.0
-    for i in range(d):
-        outside = [j for j in range(d) if j != i and j not in dep.neighbor_sets[i]]
-        if not outside:
-            continue
-        union = indicators[outside[0]].copy()
-        for j in outside[1:]:
-            union |= indicators[j]
-        p_union = _mass(weights, union)
-        p_union_given = _mass(weights, union & indicators[i]) / probs[i]
-        total += float(probs[i] * abs(p_union_given - p_union))
-    return total
+    return _coefficient_pass(system, dep).union_form
 
 
 def coefficient_report(system: EventSystem, dep: DependencyGraph) -> CoefficientReport:
     """Compute every coefficient once and return the validated bundle."""
-    phi, phi_plus, phi_minus = mixing_phi(system, dep)
-    d1, d2, d1p, d2p, d1pp, d2pp = declustering(system, dep)
-    return CoefficientReport(
-        phi=phi,
-        phi_plus=phi_plus,
-        phi_minus=phi_minus,
-        delta1=d1,
-        delta2=d2,
-        delta1_prime=d1p,
-        delta2_prime=d2p,
-        delta1_dprime=d1pp,
-        delta2_dprime=d2pp,
-        phi_tilde=arratia_phi_tilde(system, dep),
-    )
+    return _coefficient_pass(system, dep).report()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +307,8 @@ def audit(system: EventSystem, dep: DependencyGraph) -> BoundAudit:
       4·delta2_dprime + 4·Σ P(A_i)²`` (quoted from a different framework;
       reported, never asserted).
     """
-    coeffs = coefficient_report(system, dep)
+    computed = _coefficient_pass(system, dep)
+    coeffs = computed.report()
     p_none = none_occur(system)
     q0 = indep_product(system)
     exact_gap = abs(p_none - q0)
@@ -359,7 +338,7 @@ def audit(system: EventSystem, dep: DependencyGraph) -> BoundAudit:
         dubickas_rhs=dubickas_rhs,
         dubickas_applicable=dubickas_applicable,
         arratia_rhs=arratia_rhs,
-        arratia_union_lower=arratia_union_form(system, dep),
+        arratia_union_lower=computed.union_form,
         sum_p_sq=sum_p_sq,
         thm1_pass=exact_gap <= thm1_rhs + AUDIT_TOL,
         upper_pass=p_none <= upper_rhs + AUDIT_TOL,

@@ -2,7 +2,6 @@
 from .config import (
     DEP_FAMILIES,
     EVENT_FAMILIES,
-    EXPERIMENT_KINDS,
     EmpiricalResult,
     ExperimentConfig,
     SystemGenSpec,
@@ -11,6 +10,7 @@ from .config import (
 from .generators import GeneratedSystem, generate_system, random_event_system
 from .reports import AUDIT_HEADER, TRIALS_HEADER, emit_report
 from .runner import (
+    EXPERIMENT_KINDS,
     AuditRow,
     AuditRunSummary,
     bound_audit_run,

@@ -8,10 +8,9 @@ Subcommands
 
 ``exindep simulate KIND --n N --p P --trials T --seed S [--k/--s/--h ...]
 [--ref {indep,gumbel}] [--out DIR]``
-    Monte Carlo maxima experiment for one structure kind
-    (``graph-maxdeg``, ``hypergraph-maxdeg``, ``hypergraph-codegree``,
-    ``clique-ext``, ``common-neighbours``); reports the sup-grid distance
-    between normalized maxima and the reference CDF.
+    Monte Carlo maxima experiment for one structure kind (a key of
+    :data:`runner.KINDS <exindep.experiments_cli.runner.KINDS>`); reports
+    the sup-grid distance between normalized maxima and the reference CDF.
 
 ``exindep gumbel-consts --family {binomial,clique,common-neighbour} ...``
     Print the normalizing constants as one CSV row
@@ -30,10 +29,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from ..errors import ExindepError
+from ..errors import ExindepError, StructuralError
 from ..gaussian_evt import ThresholdSet, check_conditions, stationary_system
 from ..gumbel_limits import (
     NormConstants,
@@ -44,17 +43,14 @@ from ..gumbel_limits import (
 from ..prob_core import DependencyGraph
 from .config import EVENT_FAMILIES, DEP_FAMILIES, ExperimentConfig, SystemGenSpec
 from .reports import emit_report
-from .runner import bound_audit_run, gaussian_max_rate, run_max_experiment
+from .runner import (
+    EXPERIMENT_KINDS,
+    bound_audit_run,
+    gaussian_max_rate,
+    run_max_experiment,
+)
 
 __all__ = ["main", "build_parser"]
-
-_SIMULATE_KINDS = (
-    "graph-maxdeg",
-    "hypergraph-maxdeg",
-    "hypergraph-codegree",
-    "clique-ext",
-    "common-neighbours",
-)
 
 
 def _print_json(doc: dict) -> None:
@@ -68,14 +64,18 @@ def _print_json(doc: dict) -> None:
 def _spec_from_args(args: argparse.Namespace) -> SystemGenSpec:
     if args.spec is not None:
         doc = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-        return SystemGenSpec(
-            d_range=tuple(doc.get("d_range", (1, 8))),
-            atom_range=tuple(doc.get("atom_range", (4, 256))),
-            event_family=doc.get("event_family", "mixed"),
-            dep_family=doc.get("dep_family", "mixed"),
-            dep_edge_prob=doc.get("dep_edge_prob", 0.5),
-            band_width=doc.get("band_width", 1),
-        )
+        if not isinstance(doc, dict):
+            raise StructuralError(f"spec file {args.spec} must hold a JSON object")
+        known = {f.name for f in fields(SystemGenSpec)}
+        unknown = sorted(doc.keys() - known)
+        if unknown:
+            raise StructuralError(
+                f"unknown spec keys {unknown}; expected keys among {sorted(known)}"
+            )
+        for key in ("d_range", "atom_range"):
+            if key in doc:
+                doc[key] = tuple(doc[key])
+        return SystemGenSpec(**doc)
     return SystemGenSpec(
         d_range=(args.d_min, args.d_max),
         atom_range=(args.atoms_min, args.atoms_max),
@@ -123,7 +123,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         s=args.s,
         h=args.h,
         reference=reference,
-        out_dir=args.out,
     )
     result = run_max_experiment(cfg)
     if args.out is not None:
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit_bounds)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo maxima experiment")
-    p_sim.add_argument("kind", choices=_SIMULATE_KINDS)
+    p_sim.add_argument("kind", choices=EXPERIMENT_KINDS)
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--p", type=float, required=True)
     p_sim.add_argument("--trials", type=int, required=True)

@@ -12,23 +12,17 @@ Three records travel through the harness:
   normalized values ``(max - a) / b``, the sup-grid distance to the
   reference, the constants used, and enough echo to reproduce the run.
 
-Experiment kinds
-----------------
-``graph-maxdeg``          maximum vertex degree of a binomial graph
-``hypergraph-maxdeg``     maximum vertex degree of a binomial hypergraph
-``hypergraph-codegree``   maximum codegree over ``s``-subsets
-``clique-ext``            maximum per-vertex ``k``-clique count
-``common-neighbours``     maximum common-neighbour count over ``h``-subsets
-
-The default reference is the exact independent product of per-index
-binomial CDFs; the Gumbel law is the secondary reference (finite-size
-convergence to it is slow, so distribution gates use the product form).
-``clique-ext`` has no product reference — its per-vertex counts are not
-binomial — and therefore requires ``reference="gumbel"``.
+The experiment kinds — their parameters, constants, references and
+per-trial statistics — are the keys of :data:`runner.KINDS
+<exindep.experiments_cli.runner.KINDS>`.  The default reference is the
+exact independent product of per-index binomial CDFs; the Gumbel law is
+the secondary reference (finite-size convergence to it is slow, so
+distribution gates use the product form).  A kind with no product
+reference requires ``reference="gumbel"``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -39,7 +33,6 @@ from ..gumbel_limits import NormConstants
 __all__ = [
     "EVENT_FAMILIES",
     "DEP_FAMILIES",
-    "EXPERIMENT_KINDS",
     "DEFAULT_GRID_START",
     "DEFAULT_GRID_STOP",
     "DEFAULT_GRID_STEP",
@@ -126,22 +119,10 @@ class SystemGenSpec:
         if self.band_width < 0:
             raise StructuralError(f"band_width = {self.band_width!r} must be ≥ 0")
 
-    def with_family(self, event_family: str, dep_family: str) -> "SystemGenSpec":
-        """Copy of this spec with concrete (non-mixed) families."""
-        return replace(self, event_family=event_family, dep_family=dep_family)
-
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
-
-EXPERIMENT_KINDS = (
-    "graph-maxdeg",
-    "hypergraph-maxdeg",
-    "hypergraph-codegree",
-    "clique-ext",
-    "common-neighbours",
-)
 
 ReferenceName = Literal["independent_product", "gumbel"]
 
@@ -166,13 +147,15 @@ class ExperimentConfig:
     h: int | None = None
     grid: np.ndarray = field(default_factory=default_grid)
     reference: ReferenceName = "independent_product"
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in EXPERIMENT_KINDS:
+        from .runner import KINDS  # runner imports this module
+
+        spec = KINDS.get(self.kind)
+        if spec is None:
             raise StructuralError(
                 f"unknown experiment kind {self.kind!r}; "
-                f"expected one of {EXPERIMENT_KINDS}"
+                f"expected one of {tuple(KINDS)}"
             )
         if self.n < 1:
             raise StructuralError(f"n = {self.n!r} must be at least 1")
@@ -190,31 +173,16 @@ class ExperimentConfig:
         grid = grid.copy()
         grid.flags.writeable = False
         object.__setattr__(self, "grid", grid)
-        self._check_kind_params()
-
-    def _check_kind_params(self) -> None:
-        kind = self.kind
-        if kind in ("hypergraph-maxdeg", "hypergraph-codegree"):
-            if self.k is None or not (2 <= self.k <= self.n):
-                raise StructuralError(
-                    f"{kind} needs 2 ≤ k ≤ n, got k = {self.k!r}"
-                )
-        if kind == "hypergraph-codegree":
-            if self.s is None or self.k is None or not (1 <= self.s < self.k):
-                raise StructuralError(
-                    f"{kind} needs 1 ≤ s < k, got s = {self.s!r}, k = {self.k!r}"
-                )
-        if kind == "clique-ext":
-            if self.k is None or self.k < 3:
-                raise StructuralError(f"{kind} needs k ≥ 3, got k = {self.k!r}")
-            if self.reference != "gumbel":
-                raise StructuralError(
-                    "clique-ext has no independent-product reference; "
-                    'use reference="gumbel"'
-                )
-        if kind == "common-neighbours":
-            if self.h is None or self.h < 1:
-                raise StructuralError(f"{kind} needs h ≥ 1, got h = {self.h!r}")
+        if not spec.valid(self):
+            raise StructuralError(
+                f"{self.kind} needs {spec.needs}, "
+                f"got k = {self.k!r}, s = {self.s!r}, h = {self.h!r}"
+            )
+        if spec.binomial is None and self.reference != "gumbel":
+            raise StructuralError(
+                f"{self.kind} has no independent-product reference; "
+                'use reference="gumbel"'
+            )
 
 
 # ---------------------------------------------------------------------------

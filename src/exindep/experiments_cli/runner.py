@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from ..gumbel_limits import (
     product_max_cdf,
 )
 from ..random_structures import (
+    Graph,
+    Hypergraph,
     clique_cond_expectation,
     clique_counts,
     codegrees,
@@ -48,6 +51,9 @@ from .config import EmpiricalResult, ExperimentConfig, SystemGenSpec
 from .generators import generate_system
 
 __all__ = [
+    "EXPERIMENT_KINDS",
+    "KINDS",
+    "KindSpec",
     "AuditRow",
     "AuditRunSummary",
     "bound_audit_run",
@@ -221,92 +227,137 @@ def two_sample_ks(first, second) -> float:
 # Maxima experiments
 # ---------------------------------------------------------------------------
 
-def _constants_for(cfg: ExperimentConfig) -> NormConstants:
-    n, p = cfg.n, cfg.p
-    if cfg.kind == "graph-maxdeg":
-        return norm_constants(n, n - 1, p)
-    if cfg.kind == "hypergraph-maxdeg":
-        return norm_constants(n, math.comb(n - 1, cfg.k - 1), p)
-    if cfg.kind == "hypergraph-codegree":
-        return norm_constants(
-            math.comb(n, cfg.s), math.comb(n - cfg.s, cfg.k - cfg.s), p
-        )
-    if cfg.kind == "clique-ext":
-        return clique_constants(n, p, cfg.k)
-    if cfg.kind == "common-neighbours":
-        return common_neighbour_constants(n, p, cfg.h)
-    raise AssertionError(f"unreachable kind {cfg.kind!r}")
+# The draws and statistics below reach the structure layers through this
+# module's globals at call time, so tracing that swaps those globals sees
+# every call.
+
+def _graph(cfg: ExperimentConfig, seed: int) -> Graph:
+    return gen_graph(cfg.n, cfg.p, seed)
 
 
-def _reference_on_grid(cfg: ExperimentConfig, consts: NormConstants) -> np.ndarray:
-    if cfg.reference == "gumbel":
-        return np.array([gumbel_cdf(float(x)) for x in cfg.grid])
-    n, p = cfg.n, cfg.p
-    if cfg.kind == "graph-maxdeg":
-        d, trials_n, prob = float(n), n - 1, p
-    elif cfg.kind == "hypergraph-maxdeg":
-        d, trials_n, prob = float(n), math.comb(n - 1, cfg.k - 1), p
-    elif cfg.kind == "hypergraph-codegree":
-        d, trials_n, prob = (
-            float(math.comb(n, cfg.s)),
-            math.comb(n - cfg.s, cfg.k - cfg.s),
-            p,
-        )
-    elif cfg.kind == "common-neighbours":
-        d, trials_n, prob = float(math.comb(n, cfg.h)), n - cfg.h, p**cfg.h
-    else:  # clique-ext is validated to use the gumbel reference
-        raise AssertionError(f"no product reference for kind {cfg.kind!r}")
-    return np.array(
-        [product_max_cdf(d, trials_n, prob, float(x), consts) for x in cfg.grid]
-    )
+def _hypergraph(cfg: ExperimentConfig, seed: int) -> Hypergraph:
+    return gen_hypergraph(cfg.n, cfg.k, cfg.p, seed)
+
+
+def _binomial_constants(cfg: ExperimentConfig) -> NormConstants:
+    return norm_constants(*KINDS[cfg.kind].binomial(cfg))
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything one experiment kind needs.
+
+    ``constants`` gives the normalizing constants; ``binomial`` gives the
+    ``(d, N, p)`` of the independent product of ``d`` Binomial(N, p)
+    maxima, or is ``None`` when the kind has no product reference and must
+    use the Gumbel law; ``draw(cfg, seed)`` samples one trial's structure
+    and ``statistic(cfg, structure)`` returns its ``(maximum, aux)``;
+    ``valid(cfg)`` tells whether the config carries the parameters the kind
+    ``needs``; ``summarize`` maps the maxima and aux values to
+    ``aux_stats``, or is ``None`` when the kind records no aux values.
+    """
+
+    constants: Callable[[ExperimentConfig], NormConstants]
+    binomial: Callable[[ExperimentConfig], tuple[int, int, float]] | None
+    draw: Callable[[ExperimentConfig, int], Graph | Hypergraph]
+    statistic: Callable[
+        [ExperimentConfig, Graph | Hypergraph], tuple[float, float | None]
+    ]
+    needs: str = "nothing beyond n and p"
+    valid: Callable[[ExperimentConfig], bool] = lambda cfg: True
+    summarize: Callable[[np.ndarray, np.ndarray], dict[str, float]] | None = None
+
+
+#: The experiment kinds, in the order the CLI lists them.
+KINDS: dict[str, KindSpec] = {
+    # maximum vertex degree of a binomial graph
+    "graph-maxdeg": KindSpec(
+        constants=_binomial_constants,
+        binomial=lambda cfg: (cfg.n, cfg.n - 1, cfg.p),
+        draw=_graph,
+        statistic=lambda cfg, g: (g.degrees.max() if cfg.n > 1 else 0.0, None),
+    ),
+    # maximum vertex degree of a binomial k-uniform hypergraph
+    "hypergraph-maxdeg": KindSpec(
+        constants=_binomial_constants,
+        binomial=lambda cfg: (cfg.n, math.comb(cfg.n - 1, cfg.k - 1), cfg.p),
+        draw=_hypergraph,
+        statistic=lambda cfg, hg: (hyper_degrees(hg).values.max(), None),
+        needs="2 ≤ k ≤ n",
+        valid=lambda cfg: cfg.k is not None and 2 <= cfg.k <= cfg.n,
+    ),
+    # maximum codegree over s-subsets of a binomial k-uniform hypergraph
+    "hypergraph-codegree": KindSpec(
+        constants=_binomial_constants,
+        binomial=lambda cfg: (
+            math.comb(cfg.n, cfg.s), math.comb(cfg.n - cfg.s, cfg.k - cfg.s), cfg.p
+        ),
+        draw=_hypergraph,
+        statistic=lambda cfg, hg: (codegrees(hg, cfg.s).values.max(), None),
+        needs="1 ≤ s < k ≤ n",
+        valid=lambda cfg: None not in (cfg.k, cfg.s) and 1 <= cfg.s < cfg.k <= cfg.n,
+    ),
+    # maximum per-vertex k-clique count; aux: degree-conditional expectation
+    "clique-ext": KindSpec(
+        constants=lambda cfg: clique_constants(cfg.n, cfg.p, cfg.k),
+        binomial=None,  # per-vertex clique counts are not binomial
+        draw=_graph,
+        statistic=lambda cfg, g: (
+            clique_counts(g, cfg.k).values.max(),
+            clique_cond_expectation(g, cfg.k, cfg.p).values.max(),
+        ),
+        needs="k ≥ 3",
+        valid=lambda cfg: cfg.k is not None and cfg.k >= 3,
+        summarize=lambda raw, aux: {"cond_vs_count_ks": two_sample_ks(raw, aux)},
+    ),
+    # maximum common-neighbour count over h-subsets; aux: typicality flag
+    "common-neighbours": KindSpec(
+        constants=lambda cfg: common_neighbour_constants(cfg.n, cfg.p, cfg.h),
+        binomial=lambda cfg: (math.comb(cfg.n, cfg.h), cfg.n - cfg.h, cfg.p**cfg.h),
+        draw=_graph,
+        statistic=lambda cfg, g: (
+            common_neighbours(g, cfg.h).values.max(),
+            1.0 if truncation_event(g, cfg.h, cfg.p).holds else 0.0,
+        ),
+        needs="h ≥ 1",
+        valid=lambda cfg: cfg.h is not None and cfg.h >= 1,
+        summarize=lambda raw, aux: {"truncation_rate": float(aux.mean())},
+    ),
+}
+
+#: Names of the experiment kinds (the keys of :data:`KINDS`).
+EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def run_max_experiment(cfg: ExperimentConfig) -> EmpiricalResult:
     """Sample structures, extract maxima, normalize, and compare to the reference.
 
     Per-trial structures use streams keyed by ``(cfg.seed, trial)``; the
-    result is a pure function of the config.  Kind-specific companions:
-    ``clique-ext`` also records the per-trial maximum of the
-    degree-conditional expected clique counts (and the two-sample distance
-    between the two maxima families); ``common-neighbours`` records the
-    fraction of trials whose lower-order counts stayed typical.
+    result is a pure function of the config.  The kind's :data:`KINDS` entry
+    supplies the statistic, its aux companion and their summary.
     """
-    consts = _constants_for(cfg)
+    spec = KINDS[cfg.kind]
+    consts = spec.constants(cfg)
     raw = np.empty(cfg.trials, dtype=np.float64)
-    aux_raw: np.ndarray | None = None
-    aux_stats: dict[str, float] = {}
-
-    if cfg.kind == "graph-maxdeg":
-        for t in range(cfg.trials):
-            g = gen_graph(cfg.n, cfg.p, child_seed(cfg.seed, t))
-            raw[t] = g.degrees.max() if cfg.n > 1 else 0.0
-    elif cfg.kind == "hypergraph-maxdeg":
-        for t in range(cfg.trials):
-            hg = gen_hypergraph(cfg.n, cfg.k, cfg.p, child_seed(cfg.seed, t))
-            raw[t] = hyper_degrees(hg).values.max()
-    elif cfg.kind == "hypergraph-codegree":
-        for t in range(cfg.trials):
-            hg = gen_hypergraph(cfg.n, cfg.k, cfg.p, child_seed(cfg.seed, t))
-            raw[t] = codegrees(hg, cfg.s).values.max()
-    elif cfg.kind == "clique-ext":
-        aux_raw = np.empty(cfg.trials, dtype=np.float64)
-        for t in range(cfg.trials):
-            g = gen_graph(cfg.n, cfg.p, child_seed(cfg.seed, t))
-            raw[t] = clique_counts(g, cfg.k).values.max()
-            aux_raw[t] = clique_cond_expectation(g, cfg.k, cfg.p).values.max()
-        aux_stats["cond_vs_count_ks"] = two_sample_ks(raw, aux_raw)
-    elif cfg.kind == "common-neighbours":
-        aux_raw = np.empty(cfg.trials, dtype=np.float64)
-        for t in range(cfg.trials):
-            g = gen_graph(cfg.n, cfg.p, child_seed(cfg.seed, t))
-            raw[t] = common_neighbours(g, cfg.h).values.max()
-            aux_raw[t] = 1.0 if truncation_event(g, cfg.h, cfg.p).holds else 0.0
-        aux_stats["truncation_rate"] = float(aux_raw.mean())
-    else:
-        raise AssertionError(f"unreachable kind {cfg.kind!r}")
+    aux_raw = None if spec.summarize is None else np.empty(cfg.trials, dtype=np.float64)
+    for t in range(cfg.trials):
+        # no name holds a trial's structure while the next one is drawn
+        raw[t], aux = spec.statistic(cfg, spec.draw(cfg, child_seed(cfg.seed, t)))
+        if aux_raw is not None:
+            aux_raw[t] = aux
+    aux_stats = {} if aux_raw is None else spec.summarize(raw, aux_raw)
 
     normalized = (raw - consts.a) / consts.b
-    reference = _reference_on_grid(cfg, consts)
+    if cfg.reference == "gumbel":
+        reference = np.array([gumbel_cdf(float(x)) for x in cfg.grid])
+    else:
+        d, trials_n, prob = spec.binomial(cfg)
+        reference = np.array(
+            [
+                product_max_cdf(float(d), trials_n, prob, float(x), consts)
+                for x in cfg.grid
+            ]
+        )
     ks = ks_distance(normalized, reference, cfg.grid)
     return EmpiricalResult(
         config=cfg,
@@ -340,6 +391,8 @@ def gaussian_max_rate(
     """
     if trials < 1:
         raise DomainError(f"trials = {trials!r} must be at least 1")
+    if block < 1:
+        raise DomainError(f"block = {block!r} must be at least 1")
     below = 0
     for start in range(0, trials, block):
         take = min(block, trials - start)

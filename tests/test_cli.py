@@ -4,7 +4,7 @@ Core claims checked here:
 
 * every subcommand runs end to end through ``main(argv)``;
 * ``audit-bounds`` exits 0 on a clean sweep, writes the CSV/JSON pair
-  under ``--out``, and honors a JSON spec file;
+  under ``--out``, and honors a JSON spec file (rejecting unknown keys);
 * ``simulate`` writes the per-trial CSV and summary JSON with contents
   matching a library rerun at the same seed;
 * ``gumbel-consts`` prints a CSV row whose values round-trip exactly to
@@ -65,6 +65,17 @@ class TestAuditBounds:
         doc = json.loads(capsys.readouterr().out)
         families = set(doc["family_counts"])
         assert all(f.startswith("xor-parity/") for f in families)
+
+    def test_spec_file_rejects_unknown_key(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"d_rang": [1, 3]}))
+        code = main(
+            ["audit-bounds", "--count", "5", "--seed", "2", "--spec", str(spec_path)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "d_rang" in captured.err
 
     def test_family_flags(self, capsys):
         code = main(
@@ -215,6 +226,17 @@ class TestGaussian:
         assert doc["abs_error"] == pytest.approx(
             abs(doc["empirical_rate"] - doc["independent_reference"]), abs=1e-12
         )
+
+    @pytest.mark.parametrize("block", ["0", "-5"])
+    def test_nonpositive_block_exits_two(self, block, capsys):
+        code = main(
+            ["gaussian", "simulate", "--family", "ar1", "--d", "20",
+             "--rho", "0.2", "--trials", "10", "--seed", "1", "--block", block]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_bad_family_parameter_exits_two(self, capsys):
         code = main(

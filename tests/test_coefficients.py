@@ -4,6 +4,8 @@ Core claims checked here:
 
 * every coefficient matches the exhaustive-enumeration oracle to 1e-12 on
   random systems, and the hand-enumerated golden values exactly;
+* the audit's coefficients equal, exactly, what the public coefficient
+  functions return, and the audit validates its input once;
 * structural invariants hold on every input: nonnegativity,
   phi = max(phi_plus, phi_minus), the delta <= delta' <= delta'' chains;
 * the audited inequalities hold at 1e-9 on every random system: the main
@@ -187,6 +189,35 @@ class TestOracleAgreement:
         assert rep.lower_rhs == pytest.approx(want["lower"], abs=TOL)
         assert rep.dubickas_rhs == pytest.approx(want["dubickas"], abs=TOL)
         assert rep.arratia_rhs == pytest.approx(want["arratia"], abs=TOL)
+
+
+class TestSinglePass:
+    @settings(deadline=None, max_examples=120)
+    @given(system_inputs())
+    def test_audit_equals_public_functions(self, data):
+        atoms, events, dep = data
+        system, graph = as_library(atoms, events, dep)
+        rep = audit(system, graph)
+        want = CoefficientReport(
+            *mixing_phi(system, graph),
+            *declustering(system, graph),
+            arratia_phi_tilde(system, graph),
+        )
+        assert rep.coefficients == want
+        assert coefficient_report(system, graph) == want
+        assert rep.arratia_union_lower == arratia_union_form(system, graph)
+
+    def test_audit_validates_once(self, monkeypatch):
+        calls = []
+        original = DependencyGraph.validate_for
+
+        def counting(self, system):
+            calls.append(system)
+            return original(self, system)
+
+        monkeypatch.setattr(DependencyGraph, "validate_for", counting)
+        audit(xor_system(), empty_dep(3))
+        assert len(calls) == 1
 
 
 class TestInvariants:

@@ -12,13 +12,18 @@ Core claims checked here:
   families faithfully;
 * the KS harness agrees with hand-computed and brute-force values, for
   callable and array references and for the two-sample variant;
+* the kind table is the one list of experiment kinds (the CLI offers
+  exactly its keys), and every kind reproduces recorded tiny-run values
+  while reaching its layers through the runner module's globals;
 * Monte Carlo runs are reproducible (same seed, byte-equal samples), the
-  Gaussian exceedance rate is batching-invariant, and emitted reports are
-  byte-stable with self-consistent CSV/JSON contents.
+  Gaussian exceedance rate is batching-invariant (and rejects a
+  nonpositive block), and emitted reports are byte-stable with
+  self-consistent CSV/JSON contents.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -28,6 +33,7 @@ import pytest
 
 import oracles
 from exindep import (
+    DomainError,
     StructuralError,
     arratia_phi_tilde,
     audit,
@@ -35,10 +41,12 @@ from exindep import (
     mixing_phi,
     stationary_system,
 )
+from exindep._rng import child_seed
 from exindep.experiments_cli import (
     AUDIT_HEADER,
     DEP_FAMILIES,
     EVENT_FAMILIES,
+    EXPERIMENT_KINDS,
     TRIALS_HEADER,
     EmpiricalResult,
     ExperimentConfig,
@@ -53,6 +61,9 @@ from exindep.experiments_cli import (
     run_max_experiment,
     two_sample_ks,
 )
+from exindep.experiments_cli import runner
+from exindep.experiments_cli.cli import build_parser
+from exindep.experiments_cli.runner import KINDS
 from helpers import XOR_ATOMS, XOR_EVENTS
 
 # desk-scale configs sit far outside the asymptotic regimes on purpose;
@@ -281,6 +292,82 @@ class TestRunMaxExperiment:
             _tiny_config(reference="other")
 
 
+# Tiny runs of every kind with their recorded values: integer maxima and aux
+# values that are exact dyadic rationals or 0/1 flags, so no platform's
+# floating point can move them.
+KIND_CASES = {
+    "graph-maxdeg": (
+        dict(n=12, p=0.4, trials=6, seed=11),
+        [6.0, 6.0, 5.0, 7.0, 9.0, 6.0],
+        None,
+        {},
+    ),
+    "hypergraph-maxdeg": (
+        dict(n=9, k=3, p=0.3, trials=5, seed=12),
+        [10.0, 15.0, 11.0, 12.0, 10.0],
+        None,
+        {},
+    ),
+    "hypergraph-codegree": (
+        dict(n=8, k=3, s=2, p=0.5, trials=5, seed=13),
+        [5.0, 4.0, 6.0, 5.0, 6.0],
+        None,
+        {},
+    ),
+    "clique-ext": (
+        dict(n=14, k=3, p=0.5, trials=5, seed=14, reference="gumbel"),
+        [13.0, 16.0, 12.0, 20.0, 15.0],
+        [14.0, 18.0, 14.0, 18.0, 14.0],
+        {"cond_vs_count_ks": 0.4},
+    ),
+    "common-neighbours": (
+        dict(n=12, h=2, p=0.3, trials=6, seed=15),
+        [2.0, 3.0, 3.0, 2.0, 2.0, 4.0],
+        [1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
+        {"truncation_rate": 5 / 6},
+    ),
+}
+
+
+class TestKindTable:
+    def test_one_set_of_kinds(self):
+        parser = build_parser()
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        simulate = commands.choices["simulate"]
+        kind_arg = next(a for a in simulate._actions if a.dest == "kind")
+        assert set(kind_arg.choices) == set(EXPERIMENT_KINDS) == set(KINDS)
+        assert set(KIND_CASES) == set(KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CASES))
+    def test_tiny_run_matches_recorded(self, kind, monkeypatch):
+        params, raw_max, aux_raw, aux_stats = KIND_CASES[kind]
+        seeds = []
+
+        def counting_child_seed(master, index):
+            seeds.append(index)
+            return child_seed(master, index)
+
+        # the per-trial statistics must look the layers up in runner's
+        # globals at call time, where the benchmark's tracer swaps them
+        monkeypatch.setattr(runner, "child_seed", counting_child_seed)
+        res = run_max_experiment(ExperimentConfig(kind=kind, **params))
+        assert seeds == list(range(params["trials"]))
+        assert res.raw_max.tolist() == raw_max
+        assert (None if res.aux_raw is None else res.aux_raw.tolist()) == aux_raw
+        assert res.aux_stats == aux_stats
+
+    @pytest.mark.parametrize("kind", sorted(KIND_CASES))
+    def test_kind_rule_rejects_missing_parameters(self, kind):
+        params = dict(KIND_CASES[kind][0], k=None, s=None, h=None)
+        if kind == "graph-maxdeg":
+            ExperimentConfig(kind=kind, **params)  # needs nothing beyond n, p
+        else:
+            with pytest.raises(StructuralError):
+                ExperimentConfig(kind=kind, **params)
+
+
 class TestGaussianMaxRate:
     def test_block_invariance(self):
         sys = stationary_system(20, "ar1", rho=0.3)
@@ -289,6 +376,12 @@ class TestGaussianMaxRate:
         r2 = gaussian_max_rate(sys, level, 300, 77, block=128)
         assert r1 == r2
         assert 0.0 <= r1 <= 1.0
+
+    @pytest.mark.parametrize("block", [0, -5])
+    def test_rejects_nonpositive_block(self, block):
+        sys = stationary_system(5, "ar1", rho=0.3)
+        with pytest.raises(DomainError):
+            gaussian_max_rate(sys, 1.0, 10, 1, block=block)
 
     def test_iid_case_matches_product_law(self):
         sys = stationary_system(10, "ar1", rho=0.0)
