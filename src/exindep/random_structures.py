@@ -14,26 +14,30 @@ consume it differently (documented, both seed-stable):
 * sparse (``p < 0.1``): geometric gaps between successive present ranks.
 
 A graph and a 2-uniform hypergraph built from the same seed coincide
-exactly (same rank order, same stream).
+exactly (same rank order, same stream).  A :class:`Hypergraph` stores the
+colex ranks of its edges as drawn; its vertex rows are unranked only when
+``edges`` is read.
 
 Statistics
 ----------
 Exact integer counts per labeled subset: degrees, codegrees of ``s``-sets
-(number of edges containing the set), per-vertex ``k``-clique counts (via
-neighbourhood-restricted enumeration), degree-conditional clique
-expectations, common-neighbour counts of ``h``-sets, the typicality event
-bounding all lower-order common-neighbour counts, and the worst pair-
-codegree deviation used as a surrogate-independence diagnostic.
+(number of edges containing the set, counted from the stored ranks by the
+incidence kernel that also gives hyper-degrees), per-vertex ``k``-clique
+counts (via neighbourhood-restricted enumeration), degree-conditional
+clique expectations, common-neighbour counts of ``h``-sets, the typicality
+event bounding all lower-order common-neighbour counts, and the worst
+pair-codegree deviation used as a surrogate-independence diagnostic.
 
-Subset enumeration is budgeted: any statistic that would inspect more than
-``budget`` sets (default 10^8) raises a
-:class:`~exindep.errors.ResourceBudgetError` instead of silently grinding.
+Subset enumeration is budgeted: any generator or statistic that would
+enumerate or inspect more than ``budget`` sets or table cells (default
+10^8) raises a :class:`~exindep.errors.ResourceBudgetError` before it
+allocates, instead of silently grinding.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -110,27 +114,60 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
-    """``k``-uniform hypergraph: edges are rows of a sorted vertex matrix."""
+    """``k``-uniform hypergraph stored as the colex ranks of its edges.
+
+    ``ranks[i]`` is the colexicographic rank ``Σ_t C(v_t, t)`` of the
+    ``i``-th edge ``{v_1 < ... < v_k}`` among the ``k``-subsets of
+    ``range(n)``; rows keep their order, duplicates included.  ``edges``
+    unranks them on first use into the sorted ``(m, k)`` vertex matrix.
+    Build from vertex rows with :meth:`from_edges`.
+    """
 
     n: int
     k: int
-    edges: np.ndarray
+    ranks: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = np.array(self.edges, dtype=np.int64).reshape(-1, self.k)
         if self.k < 2 or self.k > self.n:
             raise StructuralError(f"need 2 ≤ k ≤ n, got k = {self.k}, n = {self.n}")
+        ranks = np.array(self.ranks, dtype=np.int64).reshape(-1)
+        total = math.comb(self.n, self.k)
+        if ranks.size and (ranks.min() < 0 or ranks.max() >= total):
+            raise StructuralError(
+                f"edge ranks must lie in [0, C({self.n},{self.k}) = {total})"
+            )
+        ranks.flags.writeable = False
+        object.__setattr__(self, "ranks", ranks)
+
+    @classmethod
+    def from_edges(cls, n: int, k: int, edges) -> Hypergraph:
+        """Hypergraph whose edges are the rows of a vertex matrix.
+
+        Each row must be strictly increasing with vertices in ``range(n)``.
+        """
+        edges = np.array(edges, dtype=np.int64).reshape(-1, k)
+        if k < 2 or k > n:
+            raise StructuralError(f"need 2 ≤ k ≤ n, got k = {k}, n = {n}")
         if edges.size:
-            if edges.min() < 0 or edges.max() >= self.n:
+            if edges.min() < 0 or edges.max() >= n:
                 raise StructuralError("edge vertices out of range")
             if np.any(np.diff(edges, axis=1) <= 0):
                 raise StructuralError("edge rows must be strictly increasing")
+        return cls(n=n, k=k, ranks=_colex_ranks(list(edges.T), n))
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Sorted vertex rows of the edges, one per entry of ``ranks``."""
+        if self.ranks.size:
+            edges = np.column_stack(_unrank_colex(self.ranks, self.n, self.k))
+        else:
+            edges = np.empty((0, self.k), dtype=np.int64)
         edges.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
+        return edges
 
     @property
     def edge_count(self) -> int:
-        return self.edges.shape[0]
+        return self.ranks.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +303,7 @@ def _present_ranks(total: int, p: float, seed: int) -> np.ndarray:
         return np.arange(total, dtype=np.int64)
     rng = stream(seed)
     if p >= SPARSE_THRESHOLD:
-        return np.flatnonzero(rng.random(total) < p).astype(np.int64)
+        return np.flatnonzero(rng.random(total) < p).astype(np.int64, copy=False)
     chunks: list[np.ndarray] = []
     position = -1  # rank of the last present subset
     mean = total * p
@@ -288,6 +325,10 @@ def gen_graph(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p = {p!r} must lie in [0, 1]")
     total = math.comb(n, 2)
+    if total > DEFAULT_BUDGET:
+        raise ResourceBudgetError(
+            f"C({n},2) = {total} pairs exceed the budget {DEFAULT_BUDGET}"
+        )
     ranks = _present_ranks(total, p, seed)
     adjacency = np.zeros((n, n), dtype=bool)
     if ranks.size:
@@ -314,12 +355,7 @@ def gen_hypergraph(
         raise ResourceBudgetError(
             f"C({n},{k}) = {total} subsets exceed the budget {budget}"
         )
-    ranks = _present_ranks(total, p, seed)
-    if ranks.size:
-        edges = np.column_stack(_unrank_colex(ranks, n, k))
-    else:
-        edges = np.empty((0, k), dtype=np.int64)
-    return Hypergraph(n=n, k=k, edges=edges)
+    return Hypergraph(n=n, k=k, ranks=_present_ranks(total, p, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +369,7 @@ def graph_degrees(g: Graph) -> StatVector:
 
 def hyper_degrees(h: Hypergraph) -> StatVector:
     """Number of edges through each vertex."""
-    counts = np.bincount(h.edges.ravel(), minlength=h.n).astype(np.int64)
+    counts = _incidence_counts(h.ranks, h.n, h.k, 1, DEFAULT_BUDGET)
     return StatVector(kind="hyper_degree", n=h.n, values=counts)
 
 
@@ -341,25 +377,84 @@ def codegrees(h: Hypergraph, s: int, *, budget: int = DEFAULT_BUDGET) -> StatVec
     """Codegree of every ``s``-subset: the number of edges containing it.
 
     Requires ``1 ≤ s < k``.  Inspects ``C(n, s)`` result slots plus
-    ``C(k, s)`` sub-subsets per edge, all charged against ``budget``.
+    ``C(k, s)`` sub-subsets per edge, all charged against ``budget``; the
+    incidence table of ``C(n-1, k-1)·C(k, s)`` cells is charged to it
+    separately before it is built.  Counts come straight from the stored
+    ranks, without unranking the edges.
     """
     if not (1 <= s < h.k):
         raise DomainError(f"need 1 ≤ s < k, got s = {s!r}, k = {h.k}")
-    slots = math.comb(h.n, s)
-    inspections = slots + h.edge_count * math.comb(h.k, s)
+    inspections = math.comb(h.n, s) + h.edge_count * math.comb(h.k, s)
     if inspections > budget:
         raise ResourceBudgetError(
             f"codegree({s}) needs {inspections} inspections, over budget {budget}"
         )
-    if s == 1:
-        sv = hyper_degrees(h)
-        return StatVector(kind="codegree", n=h.n, values=sv.values, param=1)
-    counts = np.zeros(slots, dtype=np.int64)
-    for cols in combinations(range(h.k), s):
-        # edge rows are sorted, so any increasing column pick is sorted too
-        ranks = _colex_ranks([h.edges[:, c] for c in cols], h.n)
-        counts += np.bincount(ranks, minlength=slots)
+    counts = _incidence_counts(h.ranks, h.n, h.k, s, budget)
     return StatVector(kind="codegree", n=h.n, values=counts, param=s)
+
+
+@lru_cache(maxsize=4)
+def _incidence_table(n: int, size: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Colex ranks of the ``s``- and ``(s-1)``-subsets of each ``size``-subset.
+
+    Column ``j`` describes the ``size``-subset of ``range(n)`` with colex
+    rank ``j``: ``low[c, j]`` is the rank of its ``c``-th ``s``-subset and
+    ``mid[c, j]`` that of its ``c``-th ``(s-1)``-subset (the empty set has
+    rank 0).  Both are read-only, since the cache shares them.
+    """
+    vertices = _unrank_colex(np.arange(math.comb(n, size), dtype=np.int64), n, size)
+
+    def sub_ranks(t: int) -> np.ndarray:
+        table = np.zeros((math.comb(size, t), vertices[0].size), dtype=np.int64)
+        for row, pick in zip(table, combinations(range(size), t)):
+            if pick:
+                row[:] = _colex_ranks([vertices[c] for c in pick], n)
+        table.flags.writeable = False
+        return table
+
+    return sub_ranks(s), sub_ranks(s - 1)
+
+
+def _incidence_counts(
+    ranks: np.ndarray, n: int, k: int, s: int, budget: int
+) -> np.ndarray:
+    """Number of edges, given by colex ``ranks``, containing each ``s``-subset.
+
+    An edge splits into its largest vertex ``top`` and the other ``k - 1``
+    vertices, whose colex rank among the subsets of ``range(n - 1)`` is
+    ``rest = rank - C(top, k)``.  Its ``s``-subsets either avoid ``top``
+    (the ``s``-subsets of ``rest``, counted once per distinct ``rest`` via
+    its multiplicity) or contain it (``top`` plus an ``(s-1)``-subset of
+    ``rest``, of rank ``C(top, s) + mid``).  Requires ``1 ≤ s < k``; the
+    table's ``C(n-1, k-1)·C(k, s)`` cells are charged to ``budget`` first.
+    """
+    cells = math.comb(n - 1, k - 1) * math.comb(k, s)
+    if cells > budget:
+        raise ResourceBudgetError(
+            f"incidence table for s = {s} needs {cells} cells, over budget {budget}"
+        )
+    low, mid = _incidence_table(n - 1, k - 1, s)
+    slots = math.comb(n, s)
+    offsets = _comb_table(n, k)
+    top = np.searchsorted(offsets, ranks, side="right")
+    top -= 1
+    rest = offsets[top]
+    np.subtract(ranks, rest, out=rest)
+    # weighted sums are exact: every partial sum is an integer below 2^53
+    multiplicity = np.bincount(rest, minlength=low.shape[1]).astype(np.float64)
+    avoiding = np.zeros(slots, dtype=np.float64)
+    for column in low:
+        avoiding += np.bincount(column, weights=multiplicity, minlength=slots)
+    counts = avoiding.astype(np.int64)
+    top_rank = _comb_table(n, s)[top]
+    slot = top  # reuse the buffer: ``top`` is not needed past this point
+    for column in mid:
+        # 0 ≤ rest < C(top, k-1) ≤ C(n-1, k-1), so "clip" never clips; it
+        # only spares the copy that take(out=...) makes in "raise" mode
+        np.take(column, rest, out=slot, mode="clip")
+        slot += top_rank
+        counts += np.bincount(slot, minlength=slots)
+    return counts
 
 
 def _cliques_within(adj: np.ndarray, candidates: np.ndarray, size: int) -> int:

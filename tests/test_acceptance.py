@@ -211,12 +211,16 @@ def _run(kind: str, **kwargs):
 
 
 def test_06_graph_max_degree(criterion_log):
-    result, elapsed = _run("graph-maxdeg", n=1_000, p=0.5, trials=1_000, seed=606)
+    trials = 1_000
+    result, elapsed = _run("graph-maxdeg", n=1_000, p=0.5, trials=trials, seed=606)
     ks = result.ks_vs_reference
     ok = ks <= 0.08 and elapsed <= 300.0
+    # Dvoretzky–Kiefer–Wolfowitz half-width at α = 0.05 (Massart 1990)
+    noise_floor = math.sqrt(math.log(2 / 0.05) / (2 * trials))
     criterion_log(
         f"[criterion 06] {'PASS' if ok else 'FAIL'} — max-degree KS {ks:.4f} "
-        f"(threshold 0.08, noise floor ≈ 0.043), {elapsed:.1f}s (budget 300s)"
+        f"(threshold 0.08, noise floor ≈ {noise_floor:.4f}), {elapsed:.1f}s "
+        f"(budget 300s)"
     )
     assert ks <= 0.08
     assert elapsed <= 300.0

@@ -11,6 +11,10 @@ Core claims checked here:
   complete-graph values known in closed form;
 * the truncation check compares each low-order count to its typical-value
   threshold and reports the first offending subset;
+* hypergraphs store colex ranks: ``from_edges`` validates vertex rows and
+  round-trips them, and the rank-based incidence kernel behind
+  ``hyper_degrees``/``codegrees`` equals a brute-force recount for every
+  ``s < k ≤ n ≤ 11`` in both draw regimes;
 * resource budgets trip ``ResourceBudgetError`` before any large
   allocation happens.
 """
@@ -23,6 +27,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from exindep import random_structures
 from exindep import (
     DomainError,
     Graph,
@@ -170,7 +175,7 @@ class TestDegreeStatistics:
         # all C(4,3) triples present: every vertex sits in 3 edges, every
         # pair in 2
         edges = np.array(sorted(combinations(range(4), 3)), dtype=np.int64)
-        hg = Hypergraph(n=4, k=3, edges=edges)
+        hg = Hypergraph.from_edges(4, 3, edges)
         assert codegrees(hg, 1).values.tolist() == [3, 3, 3, 3]
         assert codegrees(hg, 2).values.tolist() == [2] * 6
 
@@ -187,6 +192,84 @@ class TestDegreeStatistics:
     def test_statvector_validates_size(self):
         with pytest.raises(StructuralError):
             StatVector(kind="degree", n=5, values=np.zeros(4, dtype=np.int64))
+
+
+class TestRankStorage:
+    def test_from_edges_round_trips_unsorted_duplicates(self):
+        rows = [[1, 2, 3], [0, 1, 2], [1, 2, 3], [0, 2, 4]]
+        hg = Hypergraph.from_edges(5, 3, rows)
+        assert hg.edge_count == 4
+        assert hg.edges.tolist() == rows
+        # colex rank Σ_t C(v_t, t): {1,2,3} → 1 + 1 + 1, {0,1,2} → 0, ...
+        assert hg.ranks.tolist() == [3, 0, 3, 5]
+        assert codegrees(hg, 2).values[2] == 3  # {1, 2} sits in three rows
+        with pytest.raises(ValueError):
+            hg.ranks[0] = 1
+        with pytest.raises(ValueError):
+            hg.edges[0, 0] = 0
+        assert Hypergraph.from_edges(5, 3, []).edges.shape == (0, 3)
+
+    def test_rank_out_of_range_raises(self):
+        assert Hypergraph(n=5, k=3, ranks=[0, 9]).edge_count == 2
+        for bad in ([10], [-1, 2]):
+            with pytest.raises(StructuralError, match="edge ranks"):
+                Hypergraph(n=5, k=3, ranks=bad)
+
+    @pytest.mark.parametrize(
+        "n, k, rows, message",
+        [
+            (5, 3, [[0, 1, 5]], "edge vertices out of range"),
+            (5, 3, [[-1, 1, 2]], "edge vertices out of range"),
+            (5, 3, [[0, 2, 2]], "edge rows must be strictly increasing"),
+            (5, 3, [[2, 1, 3]], "edge rows must be strictly increasing"),
+            (5, 1, [[0]], "need 2 ≤ k ≤ n"),
+            (2, 3, [[0, 1, 2]], "need 2 ≤ k ≤ n"),
+        ],
+    )
+    def test_from_edges_row_errors(self, n, k, rows, message):
+        with pytest.raises(StructuralError, match=message):
+            Hypergraph.from_edges(n, k, rows)
+
+
+class TestIncidenceKernel:
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.08, 0.3, 0.5, 1.0])
+    def test_counts_match_brute_force(self, p):
+        # p < SPARSE_THRESHOLD exercises the geometric-gap draw
+        for n in range(2, 12):
+            for k in range(2, n + 1):
+                hg = gen_hypergraph(n, k, p, 31 * n + k)
+                rows = [tuple(r) for r in hg.edges.tolist()]
+                assert hyper_degrees(hg).values.tolist() == [
+                    sum(v in r for r in rows) for v in range(n)
+                ]
+                for s in range(1, k):
+                    want: dict[tuple[int, ...], int] = {}
+                    for r in rows:
+                        for sub in combinations(r, s):
+                            want[sub] = want.get(sub, 0) + 1
+                    got = codegrees(hg, s).values.tolist()
+                    assert got == [
+                        want.get(sub, 0)
+                        for sub in random_structures._colex_subsets(n, s)
+                    ], f"n={n}, k={k}, s={s}, p={p}"
+
+    def test_table_budget_checked_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("incidence table built despite the budget")
+
+        monkeypatch.setattr(random_structures, "_incidence_table", refuse)
+        hg = gen_hypergraph(100, 4, 0.0, 1)
+        # C(100,2) slots fit the budget, C(99,3)·C(4,2) = 941094 cells do not
+        with pytest.raises(ResourceBudgetError, match="941094 cells"):
+            codegrees(hg, 2, budget=10**5)
+
+    def test_gen_graph_budget_checked_before_drawing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("ranks drawn despite the budget")
+
+        monkeypatch.setattr(random_structures, "_present_ranks", refuse)
+        with pytest.raises(ResourceBudgetError, match="pairs exceed the budget"):
+            gen_graph(10**5, 0.5, 0)
 
 
 class TestCliqueStatistics:
@@ -290,7 +373,7 @@ class TestSurrogateDeviation:
         # 3-uniform on 4 vertices with two edges containing vertex 0:
         # X_{0,1} counts edges holding both 0 and 1
         edges = np.array([[0, 1, 2], [0, 1, 3]], dtype=np.int64)
-        hg = Hypergraph(n=4, k=3, edges=edges)
+        hg = Hypergraph.from_edges(4, 3, edges)
         # expected pair count is C(n-2, k-2)·p = 2·p
         got = surrogate_deviation(hg, 0, 0.5)
         # partner 1 appears twice; partners 2 and 3 once each;
