@@ -66,15 +66,10 @@ from .gumbel_limits import (
 )
 from .prob_core import (
     DependencyGraph,
-    Event,
     EventSystem,
     ProbSpace,
-    cond_prob,
-    dump_system,
     indep_product,
-    load_system,
     none_occur,
-    prob,
 )
 from .random_structures import (
     Graph,
@@ -115,15 +110,10 @@ __all__ = [
     "DroppedEventsWarning",
     # prob_core
     "ProbSpace",
-    "Event",
     "EventSystem",
     "DependencyGraph",
-    "prob",
-    "cond_prob",
     "none_occur",
     "indep_product",
-    "load_system",
-    "dump_system",
     # coefficients
     "CoefficientReport",
     "BoundAudit",

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import StructuralError
-from .prob_core import DependencyGraph, Event, EventSystem, indep_product, none_occur
+from .prob_core import DependencyGraph, EventSystem, indep_product, none_occur
 
 __all__ = [
     "CoefficientReport",
@@ -365,9 +365,9 @@ def reorder(
     dep.validate_for(system)
     if sorted(order) != list(range(system.d)):
         raise StructuralError("order must be a permutation of range(d)")
-    new_events = tuple(system.events[old] for old in order)
     old_to_new = {old: new for new, old in enumerate(order)}
     new_sets = tuple(
         frozenset(old_to_new[j] for j in dep.neighbor_sets[old]) for old in order
     )
-    return EventSystem(system.space, new_events), DependencyGraph(new_sets)
+    new_rows = system.indicator_matrix[list(order)]
+    return EventSystem(system.space, new_rows), DependencyGraph(new_sets)

@@ -7,7 +7,7 @@ from .config import (
     SystemGenSpec,
     default_grid,
 )
-from .generators import GeneratedSystem, generate_system, random_event_system
+from .generators import GeneratedSystem, generate_system
 from .reports import AUDIT_HEADER, TRIALS_HEADER, emit_report
 from .runner import (
     EXPERIMENT_KINDS,
@@ -30,7 +30,6 @@ __all__ = [
     "default_grid",
     "GeneratedSystem",
     "generate_system",
-    "random_event_system",
     "AUDIT_HEADER",
     "TRIALS_HEADER",
     "emit_report",

@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._rng import stream
-from ..prob_core import DependencyGraph, Event, EventSystem, ProbSpace
+from ..prob_core import DependencyGraph, EventSystem, ProbSpace
 from .config import SystemGenSpec
 
-__all__ = ["GeneratedSystem", "random_event_system", "generate_system"]
+__all__ = ["GeneratedSystem", "generate_system"]
 
 _CONCRETE_EVENT_FAMILIES = (
     "uniform-random",
@@ -64,7 +64,8 @@ class GeneratedSystem:
 
 
 # ---------------------------------------------------------------------------
-# Event-family builders (each returns (space, events) or (space, events, dep))
+# Event families (each returns (space, rows) or (space, rows, dep);
+# ``rows`` is the boolean d × n_atoms indicator matrix)
 # ---------------------------------------------------------------------------
 
 def _draw_d(spec: SystemGenSpec, rng: np.random.Generator) -> int:
@@ -74,82 +75,65 @@ def _draw_d(spec: SystemGenSpec, rng: np.random.Generator) -> int:
 
 def _uniform_random(
     spec: SystemGenSpec, rng: np.random.Generator
-) -> tuple[ProbSpace, tuple[Event, ...]]:
+) -> tuple[ProbSpace, np.ndarray]:
     d = _draw_d(spec, rng)
     lo, hi = spec.atom_range
     m = int(rng.integers(lo, hi + 1))
     masses = rng.random(m) + 1e-3
     masses /= masses.sum()
     space = ProbSpace(tuple(masses.tolist()))
-    events = []
-    for _ in range(d):
+    rows = np.empty((d, m), dtype=bool)
+    for i in range(d):
         rate = rng.uniform(0.2, 0.8)
         mask = rng.random(m) < rate
         while not mask.any():
             mask = rng.random(m) < rate
-        events.append(Event.of(np.flatnonzero(mask).tolist()))
-    return space, tuple(events)
+        rows[i] = mask
+    return space, rows
 
 
-def _bit_product_space(bit_probs: np.ndarray) -> ProbSpace:
-    """Product space over independent bits: atom = bit mask, colex bit 0 first."""
+def _bit_product_space(bit_probs: np.ndarray) -> tuple[ProbSpace, np.ndarray]:
+    """Product space over independent bits, with its coordinate events.
+
+    Atom ``a`` is the bit mask ``a`` (colex, bit 0 first); row ``t`` of the
+    returned ``(c, 2^c)`` boolean matrix marks the atoms with bit ``t`` set.
+    """
     c = bit_probs.size
-    m = 1 << c
-    masks = np.arange(m)
-    probs = np.ones(m, dtype=np.float64)
+    bits = ((np.arange(1 << c) >> np.arange(c)[:, None]) & 1) == 1
+    probs = np.ones(1 << c, dtype=np.float64)
     for t in range(c):
-        bit = (masks >> t) & 1
-        probs *= np.where(bit == 1, bit_probs[t], 1.0 - bit_probs[t])
-    return ProbSpace(tuple(probs.tolist()))
-
-
-def _coordinate_event(c: int, t: int) -> Event:
-    return Event.of(int(mask) for mask in range(1 << c) if (mask >> t) & 1)
+        probs *= np.where(bits[t], bit_probs[t], 1.0 - bit_probs[t])
+    return ProbSpace(tuple(probs.tolist())), bits
 
 
 def _product_space(
     spec: SystemGenSpec, rng: np.random.Generator
-) -> tuple[ProbSpace, tuple[Event, ...]]:
+) -> tuple[ProbSpace, np.ndarray]:
     cap = max(1, int(math.log2(max(2, spec.atom_range[1]))))
     d = min(_draw_d(spec, rng), cap)
     bit_probs = rng.uniform(0.2, 0.8, size=d)
-    space = _bit_product_space(bit_probs)
-    events = tuple(_coordinate_event(d, t) for t in range(d))
-    return space, events
+    return _bit_product_space(bit_probs)
 
 
 def _xor_parity(
     spec: SystemGenSpec, rng: np.random.Generator
-) -> tuple[ProbSpace, tuple[Event, ...]]:
+) -> tuple[ProbSpace, np.ndarray]:
     cap = max(1, int(math.log2(max(2, spec.atom_range[1]))))
     d = max(2, min(_draw_d(spec, rng), cap + 1))
-    c = d - 1
-    space = _bit_product_space(np.full(c, 0.5))
-    events = [_coordinate_event(c, t) for t in range(c)]
-    parity = Event.of(
-        int(mask) for mask in range(1 << c) if bin(mask).count("1") % 2 == 1
-    )
-    events.append(parity)
-    return space, tuple(events)
+    space, bits = _bit_product_space(np.full(d - 1, 0.5))
+    parity = bits.sum(axis=0) % 2 == 1
+    return space, np.vstack([bits, parity])
 
 
 def _monotone_increasing(
     spec: SystemGenSpec, rng: np.random.Generator
-) -> tuple[ProbSpace, tuple[Event, ...]]:
+) -> tuple[ProbSpace, np.ndarray]:
     d = _draw_d(spec, rng)
     c = max(2, int(math.log2(max(2, spec.atom_range[1]))))
     bit_probs = rng.uniform(0.3, 0.8, size=c)
-    space = _bit_product_space(bit_probs)
+    space, bits = _bit_product_space(bit_probs)
     thresholds = rng.integers(1, c + 1, size=d)
-    events = tuple(
-        Event.of(
-            int(mask)
-            for mask in range(1 << c)
-            if bin(mask).count("1") >= int(t)
-        )
-        for t in thresholds
-    )
-    return space, events
+    return space, bits.sum(axis=0) >= thresholds[:, None]
 
 
 _CLUSTER_LEVELS = 4
@@ -157,7 +141,7 @@ _CLUSTER_LEVELS = 4
 
 def _clustered(
     spec: SystemGenSpec, rng: np.random.Generator
-) -> tuple[ProbSpace, tuple[Event, ...], DependencyGraph]:
+) -> tuple[ProbSpace, np.ndarray, DependencyGraph]:
     d = _draw_d(spec, rng)
     atom_hi = spec.atom_range[1]
     levels = _CLUSTER_LEVELS if atom_hi >= _CLUSTER_LEVELS else 2
@@ -178,15 +162,15 @@ def _clustered(
     for b in range(n_blocks):
         masses *= level_probs[b, coords[b]]
     space = ProbSpace(tuple(masses.tolist()))
-    events: list[Event] = [Event.of(()) for _ in range(d)]
+    rows = np.empty((d, m), dtype=bool)
     neighbor_sets: list[frozenset[int]] = [frozenset()] * d
     for b, members in enumerate(block_of):
         member_set = frozenset(int(i) for i in members)
         for i in members:
             threshold = int(rng.integers(1, levels))
-            events[int(i)] = Event.of(np.flatnonzero(coords[b] >= threshold).tolist())
+            rows[i] = coords[b] >= threshold
             neighbor_sets[int(i)] = member_set - {int(i)}
-    return space, tuple(events), DependencyGraph(tuple(neighbor_sets))
+    return space, rows, DependencyGraph(tuple(neighbor_sets))
 
 
 # ---------------------------------------------------------------------------
@@ -236,28 +220,20 @@ def generate_system(spec: SystemGenSpec, seed: int) -> GeneratedSystem:
         ]
 
     if event_family == "clustered":
-        space, events, dep = _clustered(spec, rng)
-        system = EventSystem(space, events)
+        space, rows, dep = _clustered(spec, rng)
+        system = EventSystem(space, rows)
         return GeneratedSystem(system, dep, "clustered", "block")
 
     if event_family == "uniform-random":
-        space, events = _uniform_random(spec, rng)
+        space, rows = _uniform_random(spec, rng)
     elif event_family == "product-space":
-        space, events = _product_space(spec, rng)
+        space, rows = _product_space(spec, rng)
     elif event_family == "xor-parity":
-        space, events = _xor_parity(spec, rng)
+        space, rows = _xor_parity(spec, rng)
     elif event_family == "monotone-increasing":
-        space, events = _monotone_increasing(spec, rng)
+        space, rows = _monotone_increasing(spec, rng)
     else:
         raise AssertionError(f"unreachable event family {event_family!r}")
-    system = EventSystem(space, events)
+    system = EventSystem(space, rows)
     dep = _build_dep(dep_family, system.d, spec, rng)
     return GeneratedSystem(system, dep, event_family, dep_family)
-
-
-def random_event_system(
-    spec: SystemGenSpec, seed: int
-) -> tuple[EventSystem, DependencyGraph]:
-    """Draw one (system, dependency graph) pair, deterministic per seed."""
-    drawn = generate_system(spec, seed)
-    return drawn.system, drawn.dep

@@ -3,11 +3,11 @@
 Conventions
 -----------
 * A probability space is a finite list of atom probabilities summing to 1.
-* An event is a set of atom indices; its probability is the exact
-  (compensated) sum of its atoms' masses.
 * An event system is an *ordered* list of events ``A_1, ..., A_d`` on one
-  space.  Ordering matters: every downstream coefficient sums over
-  predecessor indices ``[i-1]``.
+  space, stored as a boolean ``d × n_atoms`` indicator matrix: row ``i``
+  marks the atoms of ``A_i``.  An event's probability is the exact
+  (compensated) sum of its atoms' masses.  Ordering matters: every
+  downstream coefficient sums over predecessor indices ``[i-1]``.
 * A dependency graph assigns each index ``i`` a set ``D_i ⊆ [d] \\ {i}`` of
   "strongly dependent" partners.  Directed graphs are allowed: ``j ∈ D_i``
   does not require ``i ∈ D_j``.
@@ -19,30 +19,25 @@ immutable after construction and safe to share across parallel workers.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConditioningError, DroppedEventsWarning, StructuralError
+from .errors import DroppedEventsWarning, StructuralError
 
 __all__ = [
     "DEFAULT_ATOM_CAP",
     "PROB_SUM_TOL",
     "ProbSpace",
-    "Event",
     "EventSystem",
     "DependencyGraph",
-    "prob",
-    "cond_prob",
     "none_occur",
     "indep_product",
-    "load_system",
-    "dump_system",
 ]
 
 #: Default cap on the number of atoms: every coefficient iterates all atoms,
@@ -54,6 +49,23 @@ PROB_SUM_TOL = 1e-12
 
 #: Log-space product kicks in beyond this many factors.
 _LOG_PRODUCT_THRESHOLD = 64
+
+
+def _as_indices(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, refusing any entry that is not an integer.
+
+    Integer-valued floats pass; ``2.9`` raises instead of truncating to 2.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        if arr.dtype.kind != "f":
+            raise StructuralError(f"{what} must be integers, got dtype {arr.dtype}")
+        flat = arr.reshape(-1)
+        fractional = np.flatnonzero(~np.isfinite(flat) | (np.trunc(flat) != flat))
+        if fractional.size:
+            bad = flat[fractional[0]]
+            raise StructuralError(f"{what} must be integers, got {float(bad)!r}")
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -69,7 +81,8 @@ class ProbSpace:
     atom_cap: int = field(default=DEFAULT_ATOM_CAP, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.atom_probs)
+        w = np.array(self.atom_probs, dtype=np.float64)
+        probs = tuple(w.tolist())
         object.__setattr__(self, "atom_probs", probs)
         if len(probs) == 0:
             raise StructuralError("a probability space needs at least one atom")
@@ -77,9 +90,9 @@ class ProbSpace:
             raise StructuralError(
                 f"{len(probs)} atoms exceed the configured cap {self.atom_cap}"
             )
-        for a, p in enumerate(probs):
-            if not (0.0 <= p <= 1.0) or math.isnan(p):
-                raise StructuralError(f"atom {a} has probability {p!r} outside [0, 1]")
+        if np.isnan(w).any() or w.min() < 0.0 or w.max() > 1.0:
+            a = int(np.flatnonzero(~((w >= 0.0) & (w <= 1.0)))[0])
+            raise StructuralError(f"atom {a} has probability {probs[a]!r} outside [0, 1]")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise StructuralError(f"atom probabilities sum to {total!r}, not 1")
@@ -96,91 +109,78 @@ class ProbSpace:
         return w
 
 
-@dataclass(frozen=True)
-class Event:
-    """A measurable event: a set of atom indices of some :class:`ProbSpace`."""
-
-    atoms: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", frozenset(int(a) for a in self.atoms))
-
-    @classmethod
-    def of(cls, atoms: Iterable[int]) -> "Event":
-        return cls(frozenset(atoms))
-
-    def validate_for(self, space: ProbSpace) -> None:
-        for a in self.atoms:
-            if not (0 <= a < space.n_atoms):
-                raise StructuralError(
-                    f"atom index {a} out of range for a {space.n_atoms}-atom space"
-                )
-
-    def intersect(self, other: "Event") -> "Event":
-        return Event(self.atoms & other.atoms)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventSystem:
     """An ordered system ``A_1, ..., A_d`` of positive-probability events.
 
+    ``indicator_matrix`` is a boolean ``d × n_atoms`` matrix whose row ``i``
+    marks the atoms of ``A_i``; the system keeps a read-only copy.  Build
+    from atom index sets with :meth:`from_atom_sets`.
     Events of zero probability are removed at construction — every mixing
     and declustering formula conditions on the events, so zero-probability
     members carry no information — and a :class:`DroppedEventsWarning`
     reports the dropped positions.
-    ``kept_indices`` maps each surviving event back to its position in the
-    input list, so callers can remap auxiliary per-event structures.
+    ``kept_indices`` maps each surviving event back to its row in the
+    input matrix, so callers can remap auxiliary per-event structures;
+    ``event_probs[i]`` is ``P(A_i)``, a read-only vector.
     """
 
     space: ProbSpace
-    events: tuple[Event, ...]
-    kept_indices: tuple[int, ...] = field(default=(), compare=False)
+    indicator_matrix: np.ndarray
+    event_probs: np.ndarray = field(init=False, repr=False)
+    kept_indices: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        events = tuple(self.events)
-        if len(events) == 0:
+        m = np.array(self.indicator_matrix)
+        if m.dtype != np.bool_:
+            raise StructuralError(f"indicator matrix must be boolean, got {m.dtype}")
+        if m.ndim != 2:
+            raise StructuralError(f"indicator matrix must be 2-D, got shape {m.shape}")
+        if m.shape[0] == 0:
             raise StructuralError("an event system needs at least one event")
-        for e in events:
-            e.validate_for(self.space)
-        kept: list[int] = []
-        dropped: list[int] = []
-        surviving: list[Event] = []
-        for idx, e in enumerate(events):
-            if prob(self.space, e) > 0.0:
-                kept.append(idx)
-                surviving.append(e)
-            else:
-                dropped.append(idx)
-        if dropped:
+        if m.shape[1] != self.space.n_atoms:
+            raise StructuralError(
+                f"indicator matrix has {m.shape[1]} columns for a "
+                f"{self.space.n_atoms}-atom space"
+            )
+        weights = self.space.weights
+        probs = np.array([math.fsum(weights[row].tolist()) for row in m])
+        keep = probs > 0.0
+        if not keep.all():
+            dropped = np.flatnonzero(~keep).tolist()
             warnings.warn(
                 f"dropped zero-probability events at indices {dropped}",
                 DroppedEventsWarning,
                 stacklevel=2,
             )
-        object.__setattr__(self, "events", tuple(surviving))
-        object.__setattr__(self, "kept_indices", tuple(kept))
+            m, probs = m[keep], probs[keep]
+        m.flags.writeable = False
+        probs.flags.writeable = False
+        object.__setattr__(self, "indicator_matrix", m)
+        object.__setattr__(self, "event_probs", probs)
+        object.__setattr__(self, "kept_indices", tuple(np.flatnonzero(keep).tolist()))
+
+    @classmethod
+    def from_atom_sets(
+        cls, space: ProbSpace, sets: Iterable[Iterable[int]]
+    ) -> "EventSystem":
+        """System whose event ``i`` is the set of atom indices ``sets[i]``."""
+        rows = [list(s) for s in sets]
+        atoms = _as_indices([a for row in rows for a in row], "atom indices")
+        outside = np.flatnonzero((atoms < 0) | (atoms >= space.n_atoms))
+        if outside.size:
+            raise StructuralError(
+                f"atom index {atoms[outside[0]]} out of range for a "
+                f"{space.n_atoms}-atom space"
+            )
+        m = np.zeros((len(rows), space.n_atoms), dtype=bool)
+        m[np.repeat(np.arange(len(rows)), [len(row) for row in rows]), atoms] = True
+        return cls(space, m)
 
     @property
     def d(self) -> int:
         """Number of (surviving) events."""
-        return len(self.events)
-
-    @cached_property
-    def event_probs(self) -> np.ndarray:
-        """``P(A_i)`` for every event, as a read-only vector."""
-        p = np.array([prob(self.space, e) for e in self.events], dtype=np.float64)
-        p.flags.writeable = False
-        return p
-
-    @cached_property
-    def indicator_matrix(self) -> np.ndarray:
-        """Boolean ``d × n_atoms`` matrix: row ``i`` marks the atoms of ``A_i``."""
-        m = np.zeros((self.d, self.space.n_atoms), dtype=bool)
-        for i, e in enumerate(self.events):
-            if e.atoms:
-                m[i, sorted(e.atoms)] = True
-        m.flags.writeable = False
-        return m
+        return self.indicator_matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,10 @@ class DependencyGraph:
     neighbor_sets: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        sets = tuple(frozenset(int(j) for j in s) for s in self.neighbor_sets)
+        raw = [list(s) for s in self.neighbor_sets]
+        flat = _as_indices([j for s in raw for j in s], "dependency indices")
+        flat = iter(flat.tolist())
+        sets = tuple(frozenset(islice(flat, len(s))) for s in raw)
         object.__setattr__(self, "neighbor_sets", sets)
         d = len(sets)
         for i, s in enumerate(sets):
@@ -236,20 +239,6 @@ class DependencyGraph:
 # Operations
 # ---------------------------------------------------------------------------
 
-def prob(space: ProbSpace, e: Event) -> float:
-    """Exact probability ``P(e)`` via compensated summation of atom masses."""
-    e.validate_for(space)
-    return math.fsum(space.atom_probs[a] for a in e.atoms)
-
-
-def cond_prob(space: ProbSpace, e: Event, given: Event) -> float:
-    """Conditional probability ``P(e | given) = P(e ∩ given) / P(given)``."""
-    p_given = prob(space, given)
-    if p_given <= 0.0:
-        raise ConditioningError("cannot condition on an event of zero probability")
-    return prob(space, e.intersect(given)) / p_given
-
-
 def none_occur(system: EventSystem) -> float:
     """Exact ``P(∩_i Ā_i)``: total mass of atoms outside every event."""
     if system.d == 0:
@@ -276,53 +265,3 @@ def indep_product(system: EventSystem) -> float:
             out *= 1.0 - q
         return out
     return math.exp(math.fsum(math.log1p(-q) for q in p))
-
-
-# ---------------------------------------------------------------------------
-# JSON-compatible loading / dumping
-# ---------------------------------------------------------------------------
-
-def load_system(
-    doc: Mapping | str, *, atom_cap: int = DEFAULT_ATOM_CAP
-) -> tuple[EventSystem, DependencyGraph | None]:
-    """Build a system (and optional dependency graph) from a JSON document.
-
-    Schema: ``{"atoms": [p, ...], "events": [[atom_idx, ...], ...],
-    "dep": [[j, ...], ...]}`` — ``dep`` optional.  If zero-probability
-    events are dropped, dependency entries are remapped onto the surviving
-    indices.
-    """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    if "atoms" not in doc or "events" not in doc:
-        raise StructuralError('document must contain "atoms" and "events"')
-    space = ProbSpace(tuple(doc["atoms"]), atom_cap=atom_cap)
-    events = tuple(Event.of(idxs) for idxs in doc["events"])
-    system = EventSystem(space, events)
-    dep_doc = doc.get("dep")
-    if dep_doc is None:
-        return system, None
-    if len(dep_doc) != len(events):
-        raise StructuralError(
-            f'"dep" has {len(dep_doc)} entries for {len(events)} events'
-        )
-    remap = {old: new for new, old in enumerate(system.kept_indices)}
-    sets = tuple(
-        frozenset(remap[j] for j in dep_doc[old] if j in remap)
-        for old in system.kept_indices
-    )
-    return system, DependencyGraph(sets)
-
-
-def dump_system(
-    system: EventSystem, dep: DependencyGraph | None = None
-) -> dict[str, list]:
-    """Inverse of :func:`load_system` (for the surviving events)."""
-    doc: dict[str, list] = {
-        "atoms": [float(p) for p in system.space.atom_probs],
-        "events": [sorted(e.atoms) for e in system.events],
-    }
-    if dep is not None:
-        dep.validate_for(system)
-        doc["dep"] = [sorted(s) for s in dep.neighbor_sets]
-    return doc

@@ -44,6 +44,7 @@ import numpy as np
 
 from ._rng import stream
 from .errors import DomainError, ResourceBudgetError, StructuralError
+from .prob_core import _as_indices
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -130,7 +131,7 @@ class Hypergraph:
     def __post_init__(self) -> None:
         if self.k < 2 or self.k > self.n:
             raise StructuralError(f"need 2 ≤ k ≤ n, got k = {self.k}, n = {self.n}")
-        ranks = np.array(self.ranks, dtype=np.int64).reshape(-1)
+        ranks = _as_indices(self.ranks, "edge ranks").reshape(-1)
         total = math.comb(self.n, self.k)
         if ranks.size and (ranks.min() < 0 or ranks.max() >= total):
             raise StructuralError(
@@ -145,7 +146,7 @@ class Hypergraph:
 
         Each row must be strictly increasing with vertices in ``range(n)``.
         """
-        edges = np.array(edges, dtype=np.int64).reshape(-1, k)
+        edges = _as_indices(edges, "edge vertices").reshape(-1, k)
         if k < 2 or k > n:
             raise StructuralError(f"need 2 ≤ k ≤ n, got k = {k}, n = {n}")
         if edges.size:
@@ -198,7 +199,7 @@ class StatVector:
     }
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
+        values = np.array(self.values)
         if self.kind not in self._EXPECTED_SIZE:
             raise StructuralError(f"unknown statistic kind {self.kind!r}")
         expected = self._EXPECTED_SIZE[self.kind](self.n, self.param)

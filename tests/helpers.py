@@ -6,7 +6,7 @@ from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
-from exindep import DependencyGraph, Event, EventSystem, ProbSpace
+from exindep import DependencyGraph, EventSystem, ProbSpace
 
 # Canonical three-bit parity system: two independent fair bits plus their
 # XOR.  Atoms 0..3 are the bit patterns 00, 01, 10, 11; event 0 is
@@ -28,7 +28,7 @@ def make_system(
     atoms: Sequence[float], events: Iterable[Iterable[int]]
 ) -> EventSystem:
     space = ProbSpace(tuple(atoms))
-    return EventSystem(space, tuple(Event.of(e) for e in events))
+    return EventSystem.from_atom_sets(space, events)
 
 
 def xor_system() -> EventSystem:

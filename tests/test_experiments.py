@@ -57,7 +57,6 @@ from exindep.experiments_cli import (
     gaussian_max_rate,
     generate_system,
     ks_distance,
-    random_event_system,
     run_max_experiment,
     two_sample_ks,
 )
@@ -90,9 +89,7 @@ class TestSystemGeneration:
         a = generate_system(spec, 42)
         b = generate_system(spec, 42)
         assert a.system.space.atom_probs == b.system.space.atom_probs
-        assert tuple(e.atoms for e in a.system.events) == tuple(
-            e.atoms for e in b.system.events
-        )
+        assert np.array_equal(a.system.indicator_matrix, b.system.indicator_matrix)
         assert a.dep.neighbor_sets == b.dep.neighbor_sets
         assert a.event_family == b.event_family
 
@@ -113,13 +110,16 @@ class TestSystemGeneration:
         )
         g = generate_system(spec, 0)
         assert g.system.space.atom_probs == XOR_ATOMS
-        assert tuple(e.atoms for e in g.system.events) == XOR_EVENTS
+        rows = tuple(
+            frozenset(np.flatnonzero(row).tolist()) for row in g.system.indicator_matrix
+        )
+        assert rows == XOR_EVENTS
 
     def test_product_space_mixing_vanishes(self):
         spec = SystemGenSpec(event_family="product-space")
         for seed in range(25):
-            system, dep = random_event_system(spec, seed)
-            phi, _, _ = mixing_phi(system, dep)
+            g = generate_system(spec, seed)
+            phi, _, _ = mixing_phi(g.system, g.dep)
             assert phi <= 1e-12, f"seed={seed}"
 
     def test_clustered_admits_zero_mixing_lower_bound(self):
@@ -134,7 +134,7 @@ class TestSystemGeneration:
 
     def test_monotone_family_is_increasing(self):
         spec = SystemGenSpec(event_family="monotone-increasing")
-        system, dep = random_event_system(spec, 3)
+        system = generate_system(spec, 3).system
         # increasing events on a product space are positively correlated
         ind = system.indicator_matrix
         w = system.space.weights
@@ -146,7 +146,8 @@ class TestSystemGeneration:
 
     def test_complete_dep_family_zeroes_phi_tilde(self):
         spec = SystemGenSpec(dep_family="complete")
-        system, dep = random_event_system(spec, 11)
+        g = generate_system(spec, 11)
+        system, dep = g.system, g.dep
         assert all(
             dep.neighbor_sets[i] == frozenset(range(system.d)) - {i}
             for i in range(system.d)

@@ -2,19 +2,17 @@
 
 Core claims checked here:
 
-* construction validates atoms, events, and dependency sets, raising
-  ``StructuralError`` with zero side effects on bad input;
+* construction validates atoms, indicator matrices, atom index sets and
+  dependency sets, raising ``StructuralError`` with zero side effects on
+  bad input (non-integral indices included: they are refused, never
+  truncated);
 * zero-probability events are dropped with a ``DroppedEventsWarning`` and
   ``kept_indices`` maps survivors back to their input positions;
-* ``prob`` / ``cond_prob`` / ``none_occur`` / ``indep_product`` agree
-  with exhaustive atom enumeration;
-* serialization round-trips through ``dump_system`` / ``load_system``.
+* ``event_probs`` / ``none_occur`` / ``indep_product`` agree with
+  exhaustive atom enumeration.
 """
 
 from __future__ import annotations
-
-import json
-import math
 
 import numpy as np
 import pytest
@@ -22,19 +20,14 @@ from hypothesis import given, settings
 
 import oracles
 from exindep import (
-    ConditioningError,
     DependencyGraph,
     DroppedEventsWarning,
-    Event,
     EventSystem,
+    Hypergraph,
     ProbSpace,
     StructuralError,
-    cond_prob,
-    dump_system,
     indep_product,
-    load_system,
     none_occur,
-    prob,
 )
 from helpers import PAIR_ATOMS, make_system, system_inputs, xor_system
 
@@ -52,6 +45,11 @@ class TestProbSpace:
         with pytest.raises(StructuralError):
             ProbSpace((0.5, float("nan"), 0.5))
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+    def test_names_first_bad_atom(self, bad):
+        with pytest.raises(StructuralError, match=r"^atom 1 has probability"):
+            ProbSpace((0.5, bad, 0.5, -0.2))
+
     def test_rejects_bad_total(self):
         with pytest.raises(StructuralError):
             ProbSpace((0.5, 0.6))
@@ -68,31 +66,37 @@ class TestProbSpace:
         assert space.n_atoms == 4
 
 
-class TestEvent:
-    def test_of_coerces_to_frozenset(self):
-        e = Event.of([3, 1, 1])
-        assert e.atoms == frozenset({1, 3})
-
-    def test_validate_rejects_out_of_range(self):
-        space = ProbSpace((0.5, 0.5))
-        with pytest.raises(StructuralError):
-            Event.of([2]).validate_for(space)
-
-    def test_intersect(self):
-        assert Event.of([0, 1]).intersect(Event.of([1, 2])).atoms == frozenset({1})
-
-
 class TestEventSystem:
     def test_rejects_no_events(self):
         with pytest.raises(StructuralError):
-            EventSystem(ProbSpace((1.0,)), ())
+            EventSystem(ProbSpace((1.0,)), np.zeros((0, 1), dtype=bool))
+        with pytest.raises(StructuralError):
+            EventSystem.from_atom_sets(ProbSpace((1.0,)), ())
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.ones(2, dtype=bool),  # not 2-D
+            np.ones((1, 3), dtype=bool),  # wrong column count
+            np.ones((1, 2), dtype=np.int64),  # not boolean
+        ],
+    )
+    def test_rejects_malformed_matrix(self, matrix):
+        with pytest.raises(StructuralError):
+            EventSystem(ProbSpace((0.5, 0.5)), matrix)
+
+    def test_copies_the_callers_matrix(self):
+        matrix = np.array([[True, False]])
+        system = EventSystem(ProbSpace((0.5, 0.5)), matrix)
+        assert matrix.flags.writeable
+        assert not system.indicator_matrix.flags.writeable
+        matrix[0, 1] = True
+        assert system.indicator_matrix.tolist() == [[True, False]]
 
     def test_drops_zero_probability_events(self):
         space = ProbSpace((0.0, 0.5, 0.5))
         with pytest.warns(DroppedEventsWarning):
-            system = EventSystem(
-                space, (Event.of([1]), Event.of([0]), Event.of([2]))
-            )
+            system = EventSystem.from_atom_sets(space, ([1], [0], [2]))
         assert system.d == 2
         assert system.kept_indices == (0, 2)
         assert system.event_probs.tolist() == [0.5, 0.5]
@@ -143,19 +147,15 @@ class TestDependencyGraph:
 
 
 class TestProbabilityQueries:
-    def test_prob_matches_enumeration(self):
-        space = ProbSpace(PAIR_ATOMS)
-        assert prob(space, Event.of([2, 3])) == pytest.approx(0.5, abs=1e-15)
-
-    def test_cond_prob_matches_enumeration(self):
-        space = ProbSpace(PAIR_ATOMS)
-        got = cond_prob(space, Event.of([1, 3]), Event.of([2, 3]))
-        assert got == pytest.approx(0.3 / 0.5, abs=1e-15)
-
-    def test_cond_on_null_event_raises(self):
-        space = ProbSpace((0.0, 1.0))
-        with pytest.raises(ConditioningError):
-            cond_prob(space, Event.of([1]), Event.of([0]))
+    @settings(deadline=None, max_examples=80)
+    @given(system_inputs())
+    def test_event_probs_match_oracle(self, data):
+        atoms, events, _ = data
+        system = make_system(atoms, events)
+        rows = [frozenset(np.flatnonzero(r).tolist()) for r in system.indicator_matrix]
+        assert rows == list(events)
+        expected = [oracles.event_prob(atoms, e) for e in events]
+        assert system.event_probs.tolist() == expected
 
     @settings(deadline=None, max_examples=80)
     @given(system_inputs())
@@ -170,27 +170,17 @@ class TestProbabilityQueries:
         )
 
 
-class TestSerialization:
-    def test_roundtrip_with_dep(self):
-        system = xor_system()
-        dep = DependencyGraph((frozenset({1}), frozenset({0}), frozenset()))
-        doc = dump_system(system, dep)
-        loaded, loaded_dep = load_system(doc)
-        assert loaded.space.atom_probs == system.space.atom_probs
-        assert tuple(e.atoms for e in loaded.events) == tuple(
-            e.atoms for e in system.events
-        )
-        assert loaded_dep is not None
-        assert loaded_dep.neighbor_sets == dep.neighbor_sets
-
-    def test_roundtrip_json_string(self):
-        system = xor_system()
-        text = json.dumps(dump_system(system))
-        loaded, dep = load_system(text)
-        assert dep is None
-        assert math.fsum(loaded.space.atom_probs) == pytest.approx(1.0, abs=1e-12)
-        assert loaded.d == 3
-
-    def test_load_rejects_missing_keys(self):
-        with pytest.raises(StructuralError):
-            load_system({"atoms": [1.0]})
+class TestIndexInput:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Hypergraph.from_edges(4, 3, [[0, 1, 2.9]]),
+            lambda: Hypergraph(4, 3, [1.7]),
+            lambda: EventSystem.from_atom_sets(ProbSpace((0.5, 0.5)), ([0.5],)),
+            lambda: DependencyGraph((frozenset({1.5}), frozenset())),
+        ],
+        ids=["from_edges", "ranks", "from_atom_sets", "dependency_graph"],
+    )
+    def test_non_integral_entry_rejected(self, build):
+        with pytest.raises(StructuralError, match="must be integers"):
+            build()

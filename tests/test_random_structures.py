@@ -193,6 +193,14 @@ class TestDegreeStatistics:
         with pytest.raises(StructuralError):
             StatVector(kind="degree", n=5, values=np.zeros(4, dtype=np.int64))
 
+    def test_statvector_leaves_callers_array_writeable(self):
+        a = np.arange(5, dtype=np.int64)
+        sv = StatVector(kind="degree", n=5, values=a)
+        assert a.flags.writeable
+        assert not sv.values.flags.writeable
+        a[0] = 7
+        assert sv.values[0] == 0
+
 
 class TestRankStorage:
     def test_from_edges_round_trips_unsorted_duplicates(self):
