@@ -31,7 +31,6 @@ from .coefficients import (
     reorder,
 )
 from .errors import (
-    ConditioningError,
     DomainError,
     DroppedEventsWarning,
     ExindepError,
@@ -103,7 +102,6 @@ __all__ = [
     "ExindepError",
     "StructuralError",
     "DomainError",
-    "ConditioningError",
     "ResourceBudgetError",
     "NumericError",
     "RegimeWarning",

@@ -10,7 +10,6 @@ __all__ = [
     "ExindepError",
     "StructuralError",
     "DomainError",
-    "ConditioningError",
     "ResourceBudgetError",
     "NumericError",
     "RegimeWarning",
@@ -28,10 +27,6 @@ class StructuralError(ExindepError, ValueError):
 
 class DomainError(ExindepError, ValueError):
     """A numeric argument lies outside the mathematical domain of the operation."""
-
-
-class ConditioningError(DomainError):
-    """Conditioning on an event of zero probability."""
 
 
 class ResourceBudgetError(ExindepError, RuntimeError):

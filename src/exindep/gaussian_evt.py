@@ -17,8 +17,12 @@ module provides the finite-``n`` toolkit for checking that:
   sufficient form, global correlation bound).  Diagnostics are finite-``n``
   numbers with caller-supplied flag thresholds — a limit statement can
   never be decided from one ``n``, so no verdict is emitted;
-* deterministic Cholesky samplers and stationary Toeplitz constructors
-  (AR(1) powers, log-decay ``γ/log(2+k)``, truncated AR(1)).
+* deterministic samplers and stationary Toeplitz constructors (AR(1)
+  powers, log-decay ``γ/log(2+k)``, truncated AR(1)).  Each system is
+  factored once.  A Markov system — ``r_{j+1,i} = r_{j+1,j}·r_{j,i}`` for
+  all ``i ≤ j``, with every ``|r_{j+1,j}| < 1``, as for every AR(1)
+  system — is sampled by its lag-one recursion in O(d) per trial; any
+  other system by the dense Cholesky product in O(d²) per trial.
 """
 from __future__ import annotations
 
@@ -30,8 +34,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from ._rng import stream
-from .errors import DomainError, NumericError, StructuralError
+from .errors import DomainError, NumericError, ResourceBudgetError, StructuralError
 from .prob_core import DependencyGraph
+from .random_structures import DEFAULT_BUDGET
 
 __all__ = [
     "GaussianSystem",
@@ -48,6 +53,8 @@ __all__ = [
 _SYMMETRY_TOL = 1e-10
 _CORRELATION_TOL = 1e-10
 _CHOLESKY_JITTER = 1e-12
+#: Rows of the correlation matrix the Markov check reads at once.
+_MARKOV_CHECK_ROWS = 256
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 CorrelationFamily = Literal["ar1", "log_decay", "truncated"]
@@ -98,6 +105,23 @@ class GaussianSystem:
         r = self.covariance / np.outer(s, s)
         r.flags.writeable = False
         return r
+
+    @cached_property
+    def _sampling_factor(self) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+        """How :func:`sample` turns standard normals ``z`` into centred draws.
+
+        A Markov system gives its lag-one coefficients ``(a, b)``: the draw
+        is ``x_0 = b_0 z_0``, ``x_j = a_{j-1} x_{j-1} + b_j z_j``.  That is
+        the Cholesky product ``L z`` row by row, because the Cholesky
+        factor of a positive-definite matrix is unique.  Any other system
+        gives the transposed Cholesky factor ``Lᵀ``, for ``z @ Lᵀ``.
+        """
+        lag_one = _lag_one_coefficients(self.correlations, self.std_devs)
+        if lag_one is not None:
+            return lag_one
+        factor_t = _cholesky_factor(self.covariance).T.copy()
+        factor_t.flags.writeable = False
+        return factor_t
 
 
 @dataclass(frozen=True)
@@ -229,6 +253,14 @@ def phi_upper_estimate(
     return total / lower
 
 
+def _charge_pairs(d: int) -> None:
+    """Refuse a d × d build whose cells exceed ``DEFAULT_BUDGET``."""
+    if d * d > DEFAULT_BUDGET:
+        raise ResourceBudgetError(
+            f"d² = {d * d} covariance cells exceed the budget {DEFAULT_BUDGET}"
+        )
+
+
 def check_conditions(
     system: GaussianSystem,
     thresholds: ThresholdSet,
@@ -237,7 +269,11 @@ def check_conditions(
     *,
     eps: float = 0.05,
 ) -> ConditionReport:
-    """Evaluate the four correlation-decay diagnostics for one configuration."""
+    """Evaluate the four correlation-decay diagnostics for one configuration.
+
+    Refuses a system whose ``d²`` pair cells exceed ``DEFAULT_BUDGET`` with
+    :class:`ResourceBudgetError`, before building any ``d × d`` mask.
+    """
     if not (0.0 < rho < 1.0):
         raise DomainError(f"rho = {rho!r} must lie strictly inside (0, 1)")
     if dep.d != system.d:
@@ -245,6 +281,7 @@ def check_conditions(
             f"dependency graph has {dep.d} entries for d = {system.d}"
         )
     d = system.d
+    _charge_pairs(d)
     u = thresholds.u_values(system)
     r = system.correlations
     log_d = math.log(d) if d > 1 else 0.0
@@ -293,6 +330,38 @@ def check_conditions(
 # Sampling
 # ---------------------------------------------------------------------------
 
+def _lag_one_coefficients(
+    r: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lag-one coefficients of a Markov system, or None for any other.
+
+    Markov means row ``j+1`` of the lower triangle (the one the Cholesky
+    factorization reads) is ``r_{j+1,j}`` times row ``j``:
+    ``r_{j+1,i} = r_{j+1,j}·r_{j,i}`` for ``i ≤ j``, within
+    ``_CHOLESKY_JITTER``, and every ``|r_{j+1,j}| < 1``.  Then
+    ``a_j = r_{j+1,j}·σ_{j+1}/σ_j``, ``b_0 = σ_0`` and
+    ``b_j = σ_j·√(1 - r²_{j,j-1})``.  The check reads the matrix in row
+    blocks, so its temporaries stay small.
+    """
+    d = r.shape[0]
+    lag = np.diagonal(r, offset=-1)
+    if np.any(np.abs(lag) >= 1.0):
+        return None
+    for lo in range(1, d, _MARKOV_CHECK_ROWS):
+        hi = min(d, lo + _MARKOV_CHECK_ROWS)
+        above = r[lo - 1 : hi - 1, : hi - 1]
+        gap = r[lo:hi, : hi - 1] - lag[lo - 1 : hi - 1, None] * above
+        # block row ``k - lo`` compares columns ``i ≤ k - 1`` only
+        if np.abs(np.tril(gap, lo - 1)).max() > _CHOLESKY_JITTER:
+            return None
+    a = lag * s[1:] / s[:-1]
+    b = s.copy()
+    b[1:] *= np.sqrt(1.0 - lag * lag)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
 def _cholesky_factor(covariance: np.ndarray) -> np.ndarray:
     """Lower-triangular factor, with a single fixed-jitter retry."""
     try:
@@ -312,7 +381,13 @@ def _cholesky_factor(covariance: np.ndarray) -> np.ndarray:
 def sample(
     system: GaussianSystem, trials: int, seed: int, *, trial_offset: int = 0
 ) -> np.ndarray:
-    """Draw ``trials × d`` samples via the lower-triangular factorization.
+    """Draw ``trials × d`` samples ``x = L z + means``, ``L`` the Cholesky factor.
+
+    A Markov system (see :func:`_lag_one_coefficients`) fills each row by
+    the lag-one recursion ``x_0 = b_0 z_0``, ``x_j = a_{j-1} x_{j-1} +
+    b_j z_j`` in O(d); any other system multiplies by the dense factor in
+    O(d²).  Both are the same function of ``z`` up to rounding, and the
+    factor is computed once per system.
 
     Each trial's standard-normal inputs come from a counter-based stream
     keyed by ``(seed, trial_offset + trial)``, so the output is identical
@@ -325,7 +400,7 @@ def sample(
         raise DomainError(f"trials = {trials!r} must be at least 1")
     if trial_offset < 0:
         raise DomainError(f"trial_offset = {trial_offset!r} must be ≥ 0")
-    factor_t = _cholesky_factor(system.covariance).T.copy()
+    factor = system._sampling_factor
     d = system.d
     out = np.empty((trials, d), dtype=np.float64)
     chunk_rows = max(1, min(trials, (1 << 23) // max(1, d)))
@@ -334,7 +409,14 @@ def sample(
         stop = min(trials, start + chunk_rows)
         for t in range(start, stop):
             z[t - start] = stream(seed, trial_offset + t).standard_normal(d)
-        np.matmul(z[: stop - start], factor_t, out=out[start:stop])
+        rows = out[start:stop]
+        if isinstance(factor, np.ndarray):
+            np.matmul(z[: stop - start], factor, out=rows)
+        else:
+            a, b = factor
+            np.multiply(z[: stop - start], b, out=rows)
+            for j in range(1, d):
+                rows[:, j] += a[j - 1] * rows[:, j - 1]
     out += system.means
     return out
 
@@ -359,12 +441,15 @@ def stationary_system(
     * ``"truncated"``: ``r(k) = rho^k`` for ``k ≤ radius``, 0 beyond.
 
     Positive semidefiniteness is not checked here — a non-PSD matrix is
-    detected when :func:`sample` factorizes it.
+    detected when :func:`sample` factorizes it.  A ``d`` whose ``d²``
+    covariance cells exceed ``DEFAULT_BUDGET`` is refused with
+    :class:`ResourceBudgetError` before anything is allocated.
     """
     if d < 1:
         raise DomainError(f"d = {d!r} must be at least 1")
     if variance <= 0.0:
         raise DomainError(f"variance = {variance!r} must be positive")
+    _charge_pairs(d)
     lags = np.arange(d)
     if family == "ar1":
         if rho is None or not (-1.0 < rho < 1.0):

@@ -119,7 +119,8 @@ class EventSystem:
     Events of zero probability are removed at construction — every mixing
     and declustering formula conditions on the events, so zero-probability
     members carry no information — and a :class:`DroppedEventsWarning`
-    reports the dropped positions.
+    reports the dropped positions; a system left with no event raises
+    :class:`StructuralError`.
     ``kept_indices`` maps each surviving event back to its row in the
     input matrix, so callers can remap auxiliary per-event structures;
     ``event_probs[i]`` is ``P(A_i)``, a read-only vector.
@@ -153,6 +154,10 @@ class EventSystem:
                 DroppedEventsWarning,
                 stacklevel=2,
             )
+            if not keep.any():
+                raise StructuralError(
+                    "an event system needs at least one event of positive probability"
+                )
             m, probs = m[keep], probs[keep]
         m.flags.writeable = False
         probs.flags.writeable = False
@@ -241,8 +246,6 @@ class DependencyGraph:
 
 def none_occur(system: EventSystem) -> float:
     """Exact ``P(∩_i Ā_i)``: total mass of atoms outside every event."""
-    if system.d == 0:
-        return 1.0
     occupied = system.indicator_matrix.any(axis=0)
     free = np.flatnonzero(~occupied)
     return math.fsum(system.space.atom_probs[a] for a in free)
@@ -255,8 +258,6 @@ def indep_product(system: EventSystem) -> float:
     keep long products from losing relative accuracy.
     """
     p = system.event_probs
-    if p.size == 0:
-        return 1.0
     if np.any(p >= 1.0):
         return 0.0
     if p.size <= _LOG_PRODUCT_THRESHOLD:

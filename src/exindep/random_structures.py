@@ -330,12 +330,13 @@ def gen_graph(n: int, p: float, seed: int) -> Graph:
         raise ResourceBudgetError(
             f"C({n},2) = {total} pairs exceed the budget {DEFAULT_BUDGET}"
         )
-    ranks = _present_ranks(total, p, seed)
+    # the colex rank of {lo < hi} is the row-major position of (hi, lo)
+    # in the strictly lower triangle, so no rank needs unranking
+    present = np.zeros(total, dtype=bool)
+    present[_present_ranks(total, p, seed)] = True
     adjacency = np.zeros((n, n), dtype=bool)
-    if ranks.size:
-        lo, hi = _unrank_colex(ranks, n, 2)
-        adjacency[lo, hi] = True
-        adjacency[hi, lo] = True
+    adjacency[np.tri(n, k=-1, dtype=bool)] = present
+    adjacency |= adjacency.T
     return Graph(n=n, adjacency=adjacency)
 
 

@@ -8,7 +8,12 @@ Core claims checked here:
   exactly and rejects out-of-range parameters;
 * ``sample`` is deterministic per (seed, trial) and batching-invariant:
   disjoint ``trial_offset`` windows stitch into the same matrix as one
-  big run; sample moments match the target law;
+  big run, on both the lag-one (Markov) and the dense path; sample
+  moments match the target law;
+* the lag-one recursion equals the dense Cholesky product on the same
+  normal streams to rounding; only Markov systems take it, and a system
+  is factored once however many windows sample it;
+* the d × d builders refuse a budget-busting ``d`` before allocating;
 * ``check_conditions`` reports the four diagnostics per their closed
   forms — recomputed here with independent loops — and flags the
   slowly-decaying family while clearing the geometric one;
@@ -19,6 +24,7 @@ Core claims checked here:
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +35,7 @@ from exindep import (
     DomainError,
     GaussianSystem,
     NumericError,
+    ResourceBudgetError,
     StructuralError,
     ThresholdSet,
     berman_pair_bound,
@@ -38,10 +45,46 @@ from exindep import (
     sample,
     stationary_system,
 )
+from exindep import gaussian_evt
+from exindep._rng import stream
+from exindep.experiments_cli import gaussian_max_rate
 
 
 def _ar1(d: int, rho: float) -> GaussianSystem:
     return stationary_system(d, "ar1", rho=rho)
+
+
+def _one_per_path(d: int, rho: float, **kwargs) -> tuple[GaussianSystem, ...]:
+    """A Markov system (lag-one recursion) and a non-Markov one (dense product)."""
+    return (
+        stationary_system(d, "ar1", rho=rho, **kwargs),
+        stationary_system(d, "log_decay", gamma=rho, **kwargs),
+    )
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Covariances handed to ``_cholesky_factor`` while the test runs."""
+    calls = []
+    factor = gaussian_evt._cholesky_factor
+
+    def counted(covariance):
+        calls.append(covariance)
+        return factor(covariance)
+
+    monkeypatch.setattr(gaussian_evt, "_cholesky_factor", counted)
+    return calls
+
+
+def _markov_system(lags, std_devs, mean: float) -> GaussianSystem:
+    """Covariance with ``r_ij = lags[i]·…·lags[j-1]`` for ``i < j``."""
+    d = len(std_devs)
+    r = np.eye(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            r[i, j] = r[j, i] = math.prod(lags[i:j])
+    s = np.asarray(std_devs, dtype=float)
+    return GaussianSystem(means=np.full(d, mean), covariance=r * np.outer(s, s))
 
 
 class TestGaussianSystem:
@@ -120,6 +163,16 @@ class TestStationarySystem:
         with pytest.raises(DomainError):
             stationary_system(4, **kwargs)
 
+    def test_budget_refused_before_allocation(self):
+        # 20000² cells exceed the default budget; the refusal comes first
+        with pytest.raises(ResourceBudgetError):
+            stationary_system(20_000, "ar1", rho=0.3)
+        stand_in = SimpleNamespace(d=20_000)  # no covariance is ever read
+        with pytest.raises(ResourceBudgetError):
+            check_conditions(
+                stand_in, ThresholdSet(a=4.0, b=1.0), DependencyGraph.empty(20_000), 0.5
+            )
+
     def test_non_psd_detected_at_sampling(self):
         # a hard truncation this aggressive is not positive semidefinite
         sys = stationary_system(40, "truncated", rho=0.9, radius=1)
@@ -129,26 +182,26 @@ class TestStationarySystem:
 
 class TestSampling:
     def test_deterministic(self):
-        sys = _ar1(6, 0.3)
-        a = sample(sys, 20, 123)
-        b = sample(sys, 20, 123)
-        assert np.array_equal(a, b)
-        c = sample(sys, 20, 124)
-        assert not np.array_equal(a, c)
+        for sys in _one_per_path(6, 0.3):
+            a = sample(sys, 20, 123)
+            b = sample(sys, 20, 123)
+            assert np.array_equal(a, b)
+            c = sample(sys, 20, 124)
+            assert not np.array_equal(a, c)
 
     def test_offset_windows_stitch_exactly(self):
-        sys = _ar1(5, 0.4)
-        whole = sample(sys, 30, 7)
-        parts = np.vstack(
-            [sample(sys, 10, 7, trial_offset=o) for o in (0, 10, 20)]
-        )
-        assert np.array_equal(whole, parts)
+        for sys in _one_per_path(5, 0.4):
+            whole = sample(sys, 30, 7)
+            parts = np.vstack(
+                [sample(sys, 10, 7, trial_offset=o) for o in (0, 10, 20)]
+            )
+            assert np.array_equal(whole, parts)
 
     def test_shape_and_mean_shift(self):
-        sys = stationary_system(3, "ar1", rho=0.2, mean=5.0)
-        out = sample(sys, 4000, 42)
-        assert out.shape == (4000, 3)
-        assert out.mean(axis=0) == pytest.approx([5.0] * 3, abs=0.1)
+        for sys in _one_per_path(3, 0.2, mean=5.0):
+            out = sample(sys, 4000, 42)
+            assert out.shape == (4000, 3)
+            assert out.mean(axis=0) == pytest.approx([5.0] * 3, abs=0.1)
 
     def test_sample_correlation_matches_target(self):
         sys = _ar1(2, 0.6)
@@ -162,6 +215,55 @@ class TestSampling:
             sample(sys, 0, 1)
         with pytest.raises(DomainError):
             sample(sys, 1, 1, trial_offset=-1)
+
+
+class TestSamplingPaths:
+    @pytest.mark.parametrize("d", [1, 2, 3, 50])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.3, 0.9])
+    def test_recursion_matches_dense_product(self, rho, d, cholesky_calls):
+        sys = stationary_system(d, "ar1", rho=rho, variance=2.5, mean=-1.5)
+        got = sample(sys, 40, 11, trial_offset=3)
+        assert cholesky_calls == []  # a Markov system is never factored
+        z = np.vstack([stream(11, 3 + t).standard_normal(d) for t in range(40)])
+        want = z @ gaussian_evt._cholesky_factor(sys.covariance).T + sys.means
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_non_stationary_markov_matches_dense_product(self, cholesky_calls):
+        sys = _markov_system(
+            [0.5, -0.2, 0.9, 0.0, 0.7], [1.0, 2.0, 0.5, 3.0, 1.0, 1.5], mean=0.25
+        )
+        got = sample(sys, 40, 5)
+        assert cholesky_calls == []
+        z = np.vstack([stream(5, t).standard_normal(6) for t in range(40)])
+        want = z @ gaussian_evt._cholesky_factor(sys.covariance).T + sys.means
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            stationary_system(8, "log_decay", gamma=0.5),
+            stationary_system(8, "truncated", rho=0.5, radius=1),
+            stationary_system(8, "truncated", rho=0.5, radius=2),
+        ],
+        ids=["log_decay", "truncated-1", "truncated-2"],
+    )
+    def test_non_markov_families_take_dense_path(self, sys, cholesky_calls):
+        sample(sys, 3, 0)
+        assert len(cholesky_calls) == 1
+
+    def test_perturbed_ar1_takes_dense_path(self, cholesky_calls):
+        cov = _ar1(6, 0.5).covariance.copy()
+        cov[1, 4] += 1e-9
+        cov[4, 1] += 1e-9
+        sample(GaussianSystem(means=np.zeros(6), covariance=cov), 3, 0)
+        assert len(cholesky_calls) == 1
+
+    def test_multi_window_rate_factors_once(self, cholesky_calls):
+        sys = stationary_system(20, "log_decay", gamma=0.5)
+        whole = gaussian_max_rate(sys, 2.0, 50, 9, block=50)
+        windowed = gaussian_max_rate(sys, 2.0, 50, 9, block=10)
+        assert windowed == whole
+        assert len(cholesky_calls) == 1
 
 
 class TestThresholdSet:

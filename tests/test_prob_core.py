@@ -101,6 +101,13 @@ class TestEventSystem:
         assert system.kept_indices == (0, 2)
         assert system.event_probs.tolist() == [0.5, 0.5]
 
+    def test_all_zero_probability_events_rejected(self):
+        space = ProbSpace((0.0, 1.0))
+        with pytest.warns(DroppedEventsWarning), pytest.raises(
+            StructuralError, match="positive probability"
+        ):
+            EventSystem.from_atom_sets(space, ([0], [0], []))
+
     def test_event_probs_and_indicators(self):
         system = xor_system()
         assert system.event_probs.tolist() == [0.5, 0.5, 0.5]

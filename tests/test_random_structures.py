@@ -120,16 +120,24 @@ class TestGeneration:
             assert abs(g.edge_count / total - p) < 0.02
 
     def test_two_uniform_hypergraph_matches_graph(self):
-        g = gen_graph(50, 0.2, 77)
-        hg = gen_hypergraph(50, 2, 0.2, 77)
-        pairs = {tuple(int(v) for v in row) for row in hg.edges}
-        graph_pairs = {
-            (i, j)
-            for i in range(50)
-            for j in range(i + 1, 50)
-            if g.adjacency[i, j]
-        }
-        assert pairs == graph_pairs
+        # dense and sparse draws, both ends of p, and the smallest n
+        cases = [
+            (50, 0.2, 77), (50, 0.03, 5), (60, 0.08, 11), (12, 0.0, 1),
+            (12, 1.0, 1), (2, 0.5, 3), (2, 1.0, 3), (2, 0.0, 3),
+        ]
+        for n, p, seed in cases:
+            g = gen_graph(n, p, seed)
+            hg = gen_hypergraph(n, 2, p, seed)
+            pairs = {tuple(int(v) for v in row) for row in hg.edges}
+            graph_pairs = {
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if g.adjacency[i, j]
+            }
+            assert pairs == graph_pairs, (n, p, seed)
+        lone = gen_graph(1, 0.5, 3)  # C(1, 2) = 0 candidate pairs
+        assert lone.adjacency.tolist() == [[False]]
 
     def test_hypergraph_rows_sorted_strictly(self):
         hg = gen_hypergraph(20, 3, 0.2, 3)
