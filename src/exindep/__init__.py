@@ -81,7 +81,6 @@ from .random_structures import (
     common_neighbours,
     gen_graph,
     gen_hypergraph,
-    graph_degrees,
     hyper_degrees,
     surrogate_deviation,
     truncation_event,
@@ -157,7 +156,6 @@ __all__ = [
     "TruncationCheck",
     "gen_graph",
     "gen_hypergraph",
-    "graph_degrees",
     "hyper_degrees",
     "codegrees",
     "clique_counts",

@@ -34,9 +34,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from ._rng import stream
-from .errors import DomainError, NumericError, ResourceBudgetError, StructuralError
+from .errors import DomainError, NumericError, StructuralError
 from .prob_core import DependencyGraph
-from .random_structures import DEFAULT_BUDGET
+from .random_structures import _charge_budget
 
 __all__ = [
     "GaussianSystem",
@@ -253,14 +253,6 @@ def phi_upper_estimate(
     return total / lower
 
 
-def _charge_pairs(d: int) -> None:
-    """Refuse a d × d build whose cells exceed ``DEFAULT_BUDGET``."""
-    if d * d > DEFAULT_BUDGET:
-        raise ResourceBudgetError(
-            f"d² = {d * d} covariance cells exceed the budget {DEFAULT_BUDGET}"
-        )
-
-
 def check_conditions(
     system: GaussianSystem,
     thresholds: ThresholdSet,
@@ -281,7 +273,7 @@ def check_conditions(
             f"dependency graph has {dep.d} entries for d = {system.d}"
         )
     d = system.d
-    _charge_pairs(d)
+    _charge_budget(d * d, f"d² = {d * d} covariance cells")
     u = thresholds.u_values(system)
     r = system.correlations
     log_d = math.log(d) if d > 1 else 0.0
@@ -394,14 +386,16 @@ def sample(
     however trials are batched across workers: stacking windows
     ``sample(sys, m, seed, trial_offset=o)`` over disjoint offset ranges
     reproduces one big run exactly.  Generation is chunked to bound peak
-    memory; the result matrix itself is ``trials × d`` float64.
+    memory; the result matrix itself is ``trials × d`` float64, refused
+    before anything is built if its cells exceed ``DEFAULT_BUDGET``.
     """
     if trials < 1:
         raise DomainError(f"trials = {trials!r} must be at least 1")
     if trial_offset < 0:
         raise DomainError(f"trial_offset = {trial_offset!r} must be ≥ 0")
-    factor = system._sampling_factor
     d = system.d
+    _charge_budget(trials * d, f"trials·d = {trials * d} output cells")
+    factor = system._sampling_factor
     out = np.empty((trials, d), dtype=np.float64)
     chunk_rows = max(1, min(trials, (1 << 23) // max(1, d)))
     z = np.empty((chunk_rows, d), dtype=np.float64)
@@ -449,7 +443,7 @@ def stationary_system(
         raise DomainError(f"d = {d!r} must be at least 1")
     if variance <= 0.0:
         raise DomainError(f"variance = {variance!r} must be positive")
-    _charge_pairs(d)
+    _charge_budget(d * d, f"d² = {d * d} covariance cells")
     lags = np.arange(d)
     if family == "ar1":
         if rho is None or not (-1.0 < rho < 1.0):

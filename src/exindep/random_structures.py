@@ -55,7 +55,6 @@ __all__ = [
     "TruncationCheck",
     "gen_graph",
     "gen_hypergraph",
-    "graph_degrees",
     "hyper_degrees",
     "codegrees",
     "clique_counts",
@@ -76,6 +75,12 @@ DEFAULT_CLIQUE_CAP = 6
 
 #: Largest common-neighbour set size supported by default.
 DEFAULT_COMMON_NEIGHBOUR_CAP = 3
+
+
+def _charge_budget(amount: int, what: str, budget: int = DEFAULT_BUDGET) -> None:
+    """Refuse work whose ``amount`` of cells or inspections exceeds ``budget``."""
+    if amount > budget:
+        raise ResourceBudgetError(f"{what} exceed the budget {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +296,11 @@ def _unrank_colex(ranks: np.ndarray, n: int, size: int) -> list[np.ndarray]:
 # Generation
 # ---------------------------------------------------------------------------
 
+def _dense_mask(total: int, p: float, seed: int) -> np.ndarray:
+    """Dense draw: rank ``r`` is present iff the ``r``-th uniform is below ``p``."""
+    return stream(seed).random(total) < p
+
+
 def _present_ranks(total: int, p: float, seed: int) -> np.ndarray:
     """Colex ranks of the present subsets among ``total`` candidates.
 
@@ -302,9 +312,9 @@ def _present_ranks(total: int, p: float, seed: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(total, dtype=np.int64)
-    rng = stream(seed)
     if p >= SPARSE_THRESHOLD:
-        return np.flatnonzero(rng.random(total) < p).astype(np.int64, copy=False)
+        return np.flatnonzero(_dense_mask(total, p, seed)).astype(np.int64, copy=False)
+    rng = stream(seed)
     chunks: list[np.ndarray] = []
     position = -1  # rank of the last present subset
     mean = total * p
@@ -326,14 +336,14 @@ def gen_graph(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p = {p!r} must lie in [0, 1]")
     total = math.comb(n, 2)
-    if total > DEFAULT_BUDGET:
-        raise ResourceBudgetError(
-            f"C({n},2) = {total} pairs exceed the budget {DEFAULT_BUDGET}"
-        )
+    _charge_budget(total, f"C({n},2) = {total} pairs")
     # the colex rank of {lo < hi} is the row-major position of (hi, lo)
     # in the strictly lower triangle, so no rank needs unranking
-    present = np.zeros(total, dtype=bool)
-    present[_present_ranks(total, p, seed)] = True
+    if SPARSE_THRESHOLD <= p < 1.0:
+        present = _dense_mask(total, p, seed)
+    else:
+        present = np.zeros(total, dtype=bool)
+        present[_present_ranks(total, p, seed)] = True
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[np.tri(n, k=-1, dtype=bool)] = present
     adjacency |= adjacency.T
@@ -353,21 +363,13 @@ def gen_hypergraph(
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"p = {p!r} must lie in [0, 1]")
     total = math.comb(n, k)
-    if total > budget:
-        raise ResourceBudgetError(
-            f"C({n},{k}) = {total} subsets exceed the budget {budget}"
-        )
+    _charge_budget(total, f"C({n},{k}) = {total} subsets", budget)
     return Hypergraph(n=n, k=k, ranks=_present_ranks(total, p, seed))
 
 
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
-
-def graph_degrees(g: Graph) -> StatVector:
-    """Vertex degrees of a graph as a labeled statistic."""
-    return StatVector(kind="degree", n=g.n, values=g.degrees)
-
 
 def hyper_degrees(h: Hypergraph) -> StatVector:
     """Number of edges through each vertex."""
@@ -387,10 +389,7 @@ def codegrees(h: Hypergraph, s: int, *, budget: int = DEFAULT_BUDGET) -> StatVec
     if not (1 <= s < h.k):
         raise DomainError(f"need 1 ≤ s < k, got s = {s!r}, k = {h.k}")
     inspections = math.comb(h.n, s) + h.edge_count * math.comb(h.k, s)
-    if inspections > budget:
-        raise ResourceBudgetError(
-            f"codegree({s}) needs {inspections} inspections, over budget {budget}"
-        )
+    _charge_budget(inspections, f"codegree({s})'s {inspections} inspections", budget)
     counts = _incidence_counts(h.ranks, h.n, h.k, s, budget)
     return StatVector(kind="codegree", n=h.n, values=counts, param=s)
 
@@ -431,10 +430,7 @@ def _incidence_counts(
     table's ``C(n-1, k-1)·C(k, s)`` cells are charged to ``budget`` first.
     """
     cells = math.comb(n - 1, k - 1) * math.comb(k, s)
-    if cells > budget:
-        raise ResourceBudgetError(
-            f"incidence table for s = {s} needs {cells} cells, over budget {budget}"
-        )
+    _charge_budget(cells, f"incidence table for s = {s}: {cells} cells", budget)
     low, mid = _incidence_table(n - 1, k - 1, s)
     slots = math.comb(n, s)
     offsets = _comb_table(n, k)
@@ -475,22 +471,35 @@ def _cliques_within(adj: np.ndarray, candidates: np.ndarray, size: int) -> int:
     return total
 
 
+def _adjacency_square(g: Graph) -> np.ndarray:
+    """``A @ A`` in float32, exact as :func:`common_neighbours` explains.
+
+    ``A`` is symmetric, so it is computed as ``A @ Aᵀ``: numpy hands a
+    product with its own transpose to BLAS ``syrk``, which fills one
+    triangle and mirrors it.
+    """
+    dense = g.adjacency.astype(np.float32)
+    return dense @ dense.T
+
+
 def clique_counts(
     g: Graph, k: int, *, cap: int = DEFAULT_CLIQUE_CAP
 ) -> StatVector:
     """Number of ``k``-cliques through each vertex.
 
-    ``3 ≤ k ≤ cap`` (default 6).  ``k = 3`` uses the adjacency-product
-    identity (triangles through ``i`` are half the closed 2-walks from
-    ``i`` along edges); larger ``k`` enumerates ``(k-1)``-cliques inside
-    each neighbourhood.
+    ``3 ≤ k ≤ cap`` (default 6).  ``k = 3`` halves the closed 2-walks
+    ``Σ_j (A²)_ij A_ij`` from ``i`` along edges.  The float32 ``A²`` is
+    exact (see :func:`common_neighbours`), but these row sums reach
+    ``(n-1)(n-2)``, past 2^24 from ``n = 4098``, so they are summed in
+    float64.  Larger ``k`` enumerates ``(k-1)``-cliques inside each
+    neighbourhood.
     """
     if not (3 <= k <= cap):
         raise DomainError(f"k = {k!r} outside the supported range [3, {cap}]")
     if k == 3:
-        dense = g.adjacency.astype(np.float64)
-        paths = dense @ dense
-        tri = np.rint((paths * dense).sum(axis=1) / 2.0).astype(np.int64)
+        paths = _adjacency_square(g)
+        paths *= g.adjacency
+        tri = (paths.sum(axis=1, dtype=np.float64) / 2.0).astype(np.int64)
         return StatVector(kind="clique", n=g.n, values=tri, param=3)
     counts = np.empty(g.n, dtype=np.int64)
     for v in range(g.n):
@@ -527,9 +536,11 @@ def common_neighbours(
 ) -> StatVector:
     """Number of vertices adjacent to every vertex of each ``h``-subset.
 
-    ``h = 1`` gives the degree vector; ``h = 2`` uses the adjacency
-    product; ``h = 3`` enumerates triples (budgeted at ``C(n, 3) · n``
-    inspections).
+    ``h = 1`` gives the degree vector; ``h = 2`` reads the strictly lower
+    triangle of the float32 square ``A²``, which is exact: every partial
+    sum of its 0/1 products, in any SGEMM order, is an integer below ``n``,
+    and ``gen_graph``'s budget keeps ``n ≤ 14142``, far below 2^24.
+    ``h = 3`` enumerates triples (budgeted at ``C(n, 3) · n`` inspections).
     """
     if not (1 <= h <= cap):
         raise DomainError(f"h = {h!r} outside the supported range [1, {cap}]")
@@ -539,19 +550,15 @@ def common_neighbours(
         )
     slots = math.comb(g.n, h)
     inspections = slots * (g.n if h >= 3 else 1)
-    if inspections > budget:
-        raise ResourceBudgetError(
-            f"common_neighbours({h}) needs {inspections} inspections, "
-            f"over budget {budget}"
-        )
+    _charge_budget(
+        inspections, f"common_neighbours({h})'s {inspections} inspections", budget
+    )
     if h == 2:
-        dense = g.adjacency.astype(np.float64)
-        shared = np.rint(dense @ dense).astype(np.int64)
-        values = np.empty(slots, dtype=np.int64)
-        offsets = _comb_table(g.n, 2)
-        for j in range(1, g.n):
-            values[offsets[j] : offsets[j] + j] = shared[:j, j]
-        return StatVector(kind="common_neighbours", n=g.n, values=values, param=2)
+        # row-major order of (hi, lo) below the diagonal is colex order of {lo < hi}
+        shared = _adjacency_square(g)[np.tri(g.n, k=-1, dtype=bool)]
+        return StatVector(
+            kind="common_neighbours", n=g.n, values=shared.astype(np.int64), param=2
+        )
     values = np.empty(slots, dtype=np.int64)
     rank = 0
     for c3 in range(2, g.n):

@@ -24,6 +24,7 @@ Core claims checked here:
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,6 +209,23 @@ class TestSampling:
         out = sample(sys, 20000, 5)
         got = np.corrcoef(out.T)[0, 1]
         assert got == pytest.approx(0.6, abs=0.02)
+
+    def test_budget_refused_before_allocation(self):
+        # 10^6 trials at d = 2000 would be a 16 GB result: refused before
+        # the output, the factor or any normal is touched
+        stand_in = SimpleNamespace(d=2000)  # no factor or means to read
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError, match="output cells"):
+                sample(stand_in, 10**6, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        sys = _ar1(100, 0.3)
+        with pytest.raises(ResourceBudgetError):
+            sample(sys, 10**6 + 1, 1)  # one trial past 10^8 cells
+        assert "_sampling_factor" not in vars(sys)
 
     def test_rejects_bad_counts(self):
         sys = _ar1(2, 0.1)

@@ -41,7 +41,6 @@ from exindep import (
     common_neighbours,
     gen_graph,
     gen_hypergraph,
-    graph_degrees,
     hyper_degrees,
     surrogate_deviation,
     truncation_event,
@@ -58,6 +57,15 @@ def _graph_from_edges(n: int, edges) -> Graph:
     for u, v in edges:
         adj[u, v] = adj[v, u] = True
     return Graph(n=n, adjacency=adj)
+
+
+#: (n, p, seed) cases: both draw regimes, p ∈ {0, 1} and n ∈ {1, 2, 3}.
+_GRAPH_GRID = [
+    (n, p, seed)
+    for n in (1, 2, 3, 7, 14)
+    for p in (0.0, 0.03, 0.08, 0.5, 1.0)
+    for seed in (1, 2, 3)
+]
 
 
 def _brute_cliques(g: Graph, k: int) -> list[int]:
@@ -155,8 +163,10 @@ class TestGeneration:
 class TestDegreeStatistics:
     def test_graph_degrees_recount(self):
         g = gen_graph(30, 0.4, 21)
-        sv = graph_degrees(g)
-        assert sv.kind == "degree"
+        brute = [sum(bool(g.adjacency[v, w]) for w in range(30)) for v in range(30)]
+        assert g.degrees.dtype == np.int64
+        assert g.degrees.tolist() == brute
+        sv = StatVector(kind="degree", n=g.n, values=g.degrees)
         assert sv.values.tolist() == g.adjacency.sum(axis=1).tolist()
         assert sv.max() == max(sv.values)
 
@@ -284,8 +294,10 @@ class TestIncidenceKernel:
             raise AssertionError("ranks drawn despite the budget")
 
         monkeypatch.setattr(random_structures, "_present_ranks", refuse)
-        with pytest.raises(ResourceBudgetError, match="pairs exceed the budget"):
-            gen_graph(10**5, 0.5, 0)
+        monkeypatch.setattr(random_structures, "_dense_mask", refuse)
+        for p in (0.05, 0.5, 1.0):
+            with pytest.raises(ResourceBudgetError, match="pairs exceed the budget"):
+                gen_graph(10**5, p, 0)
 
 
 class TestCliqueStatistics:
@@ -301,6 +313,23 @@ class TestCliqueStatistics:
             for k in (3, 4, 5):
                 got = clique_counts(g, k).values.tolist()
                 assert got == _brute_cliques(g, k), f"seed={seed}, k={k}"
+        # the float32 square for k = 3, over both draw regimes, empty and
+        # complete graphs, and the smallest n
+        for n, p, seed in _GRAPH_GRID:
+            g = gen_graph(n, p, seed)
+            sv = clique_counts(g, 3)
+            assert sv.values.dtype == np.int64
+            assert sv.values.tolist() == _brute_cliques(g, 3), (n, p, seed)
+
+    def test_complete_graph_past_float32_row_sums(self):
+        # each row sum (n-1)(n-2) of A²∘A passes 2^24 = 16777216 at n = 4098
+        n = 4098
+        assert (n - 1) * (n - 2) > 2**24
+        g = _complete_graph(n)
+        assert clique_counts(g, 3).values.tolist() == [math.comb(n - 1, 2)] * n
+        shared = common_neighbours(g, 2).values
+        assert shared.size == math.comb(n, 2)
+        assert shared.min() == shared.max() == n - 2
 
     def test_path_graph_has_no_triangles(self):
         g = _graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -331,9 +360,7 @@ class TestCliqueStatistics:
 class TestCommonNeighbours:
     def test_h1_is_degrees(self):
         g = gen_graph(20, 0.3, 4)
-        assert common_neighbours(g, 1).values.tolist() == graph_degrees(
-            g
-        ).values.tolist()
+        assert common_neighbours(g, 1).values.tolist() == g.degrees.tolist()
 
     def test_complete_graph_h2(self):
         g = _complete_graph(5)
@@ -341,11 +368,15 @@ class TestCommonNeighbours:
 
     @pytest.mark.parametrize("h", [2, 3])
     def test_matches_brute_force(self, h):
-        g = gen_graph(12, 0.5, 31)
-        sv = common_neighbours(g, h)
-        brute = _brute_common_neighbours(g, h)
-        for idx, subset in enumerate(sv.labels):
-            assert sv.values[idx] == brute[subset], f"h={h}, subset={subset}"
+        cases = [(12, 0.5, 31)] + (_GRAPH_GRID if h == 2 else [])
+        for n, p, seed in cases:
+            g = gen_graph(n, p, seed)
+            sv = common_neighbours(g, h)
+            assert sv.values.dtype == np.int64
+            brute = _brute_common_neighbours(g, h)
+            assert len(sv.labels) == len(brute)
+            for idx, subset in enumerate(sv.labels):
+                assert sv.values[idx] == brute[subset], (n, p, seed, subset)
 
     def test_cap_enforced(self):
         g = gen_graph(10, 0.5, 1)
