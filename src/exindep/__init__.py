@@ -25,7 +25,6 @@ from .coefficients import (
     arratia_phi_tilde,
     arratia_union_form,
     audit,
-    coefficient_report,
     declustering,
     mixing_phi,
     reorder,
@@ -51,13 +50,11 @@ from .gaussian_evt import (
     stationary_system,
 )
 from .gumbel_limits import (
-    GumbelRef,
     NormConstants,
     binomial_cdf,
     binomial_sf,
     clique_constants,
     common_neighbour_constants,
-    common_neighbour_reference_cdf,
     gumbel_cdf,
     norm_constants,
     product_max_cdf,
@@ -118,17 +115,14 @@ __all__ = [
     "declustering",
     "arratia_phi_tilde",
     "arratia_union_form",
-    "coefficient_report",
     "audit",
     "reorder",
     # gumbel_limits
     "NormConstants",
-    "GumbelRef",
     "gumbel_cdf",
     "norm_constants",
     "clique_constants",
     "common_neighbour_constants",
-    "common_neighbour_reference_cdf",
     "binomial_cdf",
     "binomial_sf",
     "product_max_cdf",

@@ -43,7 +43,6 @@ __all__ = [
     "declustering",
     "arratia_phi_tilde",
     "arratia_union_form",
-    "coefficient_report",
     "audit",
     "reorder",
     "AUDIT_TOL",
@@ -279,11 +278,6 @@ def arratia_union_form(system: EventSystem, dep: DependencyGraph) -> float:
     term is at most the total-variation distance in ``phi_tilde``.
     """
     return _coefficient_pass(system, dep).union_form
-
-
-def coefficient_report(system: EventSystem, dep: DependencyGraph) -> CoefficientReport:
-    """Compute every coefficient once and return the validated bundle."""
-    return _coefficient_pass(system, dep).report()
 
 
 # ---------------------------------------------------------------------------

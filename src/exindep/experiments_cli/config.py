@@ -6,11 +6,12 @@ Three records travel through the harness:
   (dimension/atom ranges, event family, dependency-graph family) for
   inequality audits at scale;
 * :class:`ExperimentConfig` — one Monte Carlo maxima experiment: the
-  structure kind and parameters, trial count, master seed, the evaluation
-  grid for distribution comparison, and the reference CDF choice;
+  structure kind and parameters, trial count, master seed, and the
+  reference CDF choice;
 * :class:`EmpiricalResult` — the samples of the maximum statistic, their
-  normalized values ``(max - a) / b``, the sup-grid distance to the
-  reference, the constants used, and enough echo to reproduce the run.
+  normalized values ``(max - a) / b``, the sup distance to the reference
+  over :func:`default_grid`, the constants used, and the config that
+  reproduces the run.
 
 The experiment kinds — their parameters, constants, references and
 per-trial statistics — are the keys of :data:`runner.KINDS
@@ -133,8 +134,6 @@ class ExperimentConfig:
 
     ``k``/``s``/``h`` are required only by the kinds that use them
     (hypergraph order, codegree subset size, common-neighbour set size).
-    ``grid`` must be strictly increasing; the default covers ``[-3, 6]``
-    in steps of ``0.05``.
     """
 
     kind: str
@@ -145,7 +144,6 @@ class ExperimentConfig:
     k: int | None = None
     s: int | None = None
     h: int | None = None
-    grid: np.ndarray = field(default_factory=default_grid)
     reference: ReferenceName = "independent_product"
 
     def __post_init__(self) -> None:
@@ -165,14 +163,6 @@ class ExperimentConfig:
             raise StructuralError(f"trials = {self.trials!r} must be at least 1")
         if self.reference not in ("independent_product", "gumbel"):
             raise StructuralError(f"unknown reference {self.reference!r}")
-        grid = np.asarray(self.grid, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2:
-            raise StructuralError("grid must be a 1-D array with ≥ 2 points")
-        if not np.all(np.diff(grid) > 0):
-            raise StructuralError("grid must be strictly increasing")
-        grid = grid.copy()
-        grid.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
         if not spec.valid(self):
             raise StructuralError(
                 f"{self.kind} needs {spec.needs}, "
@@ -195,7 +185,7 @@ class EmpiricalResult:
 
     ``raw_max[t]`` is the statistic of trial ``t``; ``normalized`` is
     ``(raw_max - a) / b`` for the constants in ``constants``;
-    ``ks_vs_reference`` is the sup-distance on the config grid between the
+    ``ks_vs_reference`` is the sup-distance on :func:`default_grid` between the
     empirical CDF of ``normalized`` and the chosen reference CDF.
     ``aux_raw``/``aux_stats`` carry kind-specific companions (conditional
     expectation maxima for ``clique-ext``; the typicality rate for
@@ -207,7 +197,6 @@ class EmpiricalResult:
     normalized: np.ndarray
     ks_vs_reference: float
     constants: NormConstants
-    seed: int
     aux_raw: np.ndarray | None = None
     aux_stats: dict[str, float] = field(default_factory=dict)
 

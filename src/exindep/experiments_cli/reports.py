@@ -25,7 +25,7 @@ import json
 import math
 from pathlib import Path
 
-from .config import EmpiricalResult
+from .config import EmpiricalResult, default_grid
 from .runner import AuditRunSummary
 
 __all__ = ["TRIALS_HEADER", "AUDIT_HEADER", "emit_report"]
@@ -82,7 +82,7 @@ def _emit_empirical(result: EmpiricalResult, out_dir: Path) -> tuple[Path, Path]
 
     cfg = result.config
     consts = result.constants
-    grid = cfg.grid
+    grid = default_grid()
     summary = {
         "kind": cfg.kind,
         "n": cfg.n,

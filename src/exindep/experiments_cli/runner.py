@@ -8,8 +8,8 @@ Two workloads share this module:
   inequality — the closer to 0 from below, the tighter the bound;
 * :func:`run_max_experiment` samples random structures, takes the
   designated maximum statistic per trial, normalizes it with the matching
-  constants, and measures the sup-grid distance to the chosen reference
-  CDF.
+  constants, and measures the distance to the chosen reference CDF, taken
+  as a sup over :func:`~exindep.experiments_cli.config.default_grid`.
 
 Both are deterministic functions of their seeds: every trial/system gets an
 independent counter-based stream keyed by ``(master seed, index)``, so
@@ -47,7 +47,7 @@ from ..random_structures import (
     hyper_degrees,
     truncation_event,
 )
-from .config import EmpiricalResult, ExperimentConfig, SystemGenSpec
+from .config import EmpiricalResult, ExperimentConfig, SystemGenSpec, default_grid
 from .generators import generate_system
 
 __all__ = [
@@ -189,23 +189,17 @@ def bound_audit_run(spec: SystemGenSpec, count: int, seed: int) -> AuditRunSumma
 def ks_distance(samples, reference, grid) -> float:
     """Sup over grid points of |empirical CDF - reference CDF|.
 
-    ``reference`` may be a callable CDF, an object with a ``cdf`` method,
-    or an array of CDF values aligned with ``grid``.
+    ``reference`` is an array of CDF values aligned with ``grid``.
     """
     values = np.asarray(samples, dtype=np.float64).ravel()
     if values.size == 0:
         raise DomainError("ks_distance needs at least one sample")
     grid_arr = np.asarray(grid, dtype=np.float64).ravel()
-    if hasattr(reference, "cdf"):
-        reference = reference.cdf
-    if callable(reference):
-        ref = np.array([float(reference(x)) for x in grid_arr])
-    else:
-        ref = np.asarray(reference, dtype=np.float64).ravel()
-        if ref.shape != grid_arr.shape:
-            raise StructuralError(
-                f"reference has {ref.size} values for {grid_arr.size} grid points"
-            )
+    ref = np.asarray(reference, dtype=np.float64).ravel()
+    if ref.shape != grid_arr.shape:
+        raise StructuralError(
+            f"reference has {ref.size} values for {grid_arr.size} grid points"
+        )
     ecdf = np.searchsorted(np.sort(values), grid_arr, side="right") / values.size
     return float(np.abs(ecdf - ref).max())
 
@@ -348,24 +342,21 @@ def run_max_experiment(cfg: ExperimentConfig) -> EmpiricalResult:
     aux_stats = {} if aux_raw is None else spec.summarize(raw, aux_raw)
 
     normalized = (raw - consts.a) / consts.b
+    grid = default_grid()
     if cfg.reference == "gumbel":
-        reference = np.array([gumbel_cdf(float(x)) for x in cfg.grid])
+        reference = np.array([gumbel_cdf(float(x)) for x in grid])
     else:
         d, trials_n, prob = spec.binomial(cfg)
         reference = np.array(
-            [
-                product_max_cdf(float(d), trials_n, prob, float(x), consts)
-                for x in cfg.grid
-            ]
+            [product_max_cdf(float(d), trials_n, prob, float(x), consts) for x in grid]
         )
-    ks = ks_distance(normalized, reference, cfg.grid)
+    ks = ks_distance(normalized, reference, grid)
     return EmpiricalResult(
         config=cfg,
         raw_max=raw,
         normalized=normalized,
         ks_vs_reference=ks,
         constants=consts,
-        seed=cfg.seed,
         aux_raw=aux_raw,
         aux_stats=aux_stats,
     )

@@ -199,22 +199,18 @@ def mills_bounds(x: float) -> tuple[float, float]:
     return lower, upper
 
 
-def berman_pair_bound(
-    u_i: float, u_j: float, r: float, *, loose_variance_factor: bool = False
-) -> float:
+def berman_pair_bound(u_i: float, u_j: float, r: float) -> float:
     """Pairwise normal-comparison bound on the joint-CDF discrepancy.
 
     ``(1/2π)·|r|·(1-r²)^{-1/2}·exp(-(u_i²+u_j²)/(2(1+|r|)))`` dominates
     ``|P(X ≤ u_i, Y ≤ u_j) - Φ(u_i)Φ(u_j)|`` for a standard bivariate
-    normal pair with correlation ``r``.  ``loose_variance_factor=True``
-    replaces ``(1-r²)^{-1/2}`` by the coarser ``(1-r²)^{-1}``.
+    normal pair with correlation ``r``.
     """
     if abs(r) >= 1.0:
         raise DomainError(f"|r| = {abs(r)!r} must be < 1")
     if r == 0.0:
         return 0.0
-    one_minus_r2 = 1.0 - r * r
-    factor = 1.0 / one_minus_r2 if loose_variance_factor else 1.0 / math.sqrt(one_minus_r2)
+    factor = 1.0 / math.sqrt(1.0 - r * r)
     exponent = -(u_i * u_i + u_j * u_j) / (2.0 * (1.0 + abs(r)))
     return _INV_SQRT_2PI**2 * abs(r) * factor * math.exp(exponent)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 from scipy.special import betainc
@@ -36,12 +36,10 @@ from .errors import DomainError, RegimeWarning
 __all__ = [
     "LOG_2_SQRT_PI",
     "NormConstants",
-    "GumbelRef",
     "gumbel_cdf",
     "norm_constants",
     "clique_constants",
     "common_neighbour_constants",
-    "common_neighbour_reference_cdf",
     "binomial_cdf",
     "binomial_sf",
     "product_max_cdf",
@@ -83,14 +81,6 @@ class NormConstants:
     def threshold(self, x: float) -> float:
         """The raw-count level ``a + b·x`` matching normalized level ``x``."""
         return self.a + self.b * x
-
-
-@dataclass(frozen=True)
-class GumbelRef:
-    """The standard Gumbel law ``F(x) = exp(-e^{-x})`` (no parameters)."""
-
-    def cdf(self, x: float) -> float:
-        return gumbel_cdf(x)
 
 
 def gumbel_cdf(x: float) -> float:
@@ -191,8 +181,8 @@ def common_neighbour_constants(n: int, p: float, h: int) -> NormConstants:
     Delegates to the binomial family with ``d = C(n, h)``, ``N = n`` and
     success probability ``p^h``.  (``N = n`` is the convention these
     constants were derived with, even though the count of an ``h``-set is
-    distributed ``Bin(n-h, p^h)``; see
-    :func:`common_neighbour_reference_cdf` for the finite-``n`` reference.)
+    distributed ``Bin(n-h, p^h)``; the ``common-neighbours`` experiment kind
+    pairs them with that finite-``n`` law in its product reference.)
     """
     if not (1 <= h < n):
         raise DomainError(f"need 1 ≤ h < n, got h = {h!r}, n = {n!r}")
@@ -214,23 +204,7 @@ def common_neighbour_constants(n: int, p: float, h: int) -> NormConstants:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)  # regime already assessed above
         base = norm_constants(d_value, n, p**h, log_d=log_d)
-    return NormConstants(
-        a=base.a,
-        b=base.b,
-        d=base.d,
-        N=base.N,
-        p=base.p,
-        log_d=base.log_d,
-        family="common_neighbour",
-        h=h,
-    )
-
-
-def common_neighbour_reference_cdf(n: int, p: float, h: int, t: float) -> float:
-    """Finite-``n`` CDF of one common-neighbour count: ``Bin(n-h, p^h)`` at ``t``."""
-    if not (1 <= h < n):
-        raise DomainError(f"need 1 ≤ h < n, got h = {h!r}, n = {n!r}")
-    return binomial_cdf(n - h, p**h, t)
+    return replace(base, family="common_neighbour", h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +265,8 @@ def product_max_cdf(
     Computed as ``exp(d · log F(a + b·x))`` with the log of the CDF taken
     as ``log1p(-sf)`` so upper-tail factors keep relative accuracy.  The
     caller is responsible for pairing ``consts`` with a matching ``(d, N,
-    p)`` triple; the common-neighbour reference deliberately pairs the
-    verbatim constants with ``N = n - h`` trials.
+    p)`` triple; the ``common-neighbours`` experiment kind deliberately
+    pairs the verbatim constants with ``N = n - h`` trials.
     """
     sf = binomial_sf(N, p, consts.threshold(x))
     if sf >= 1.0:

@@ -74,11 +74,10 @@ class ProbSpace:
 
     Invariants (checked at construction): every mass lies in ``[0, 1]``,
     the compensated sum of all masses equals 1 within ``PROB_SUM_TOL``, and
-    the atom count does not exceed ``atom_cap``.
+    the atom count does not exceed ``DEFAULT_ATOM_CAP``.
     """
 
     atom_probs: tuple[float, ...]
-    atom_cap: int = field(default=DEFAULT_ATOM_CAP, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.atom_probs, dtype=np.float64)
@@ -86,9 +85,9 @@ class ProbSpace:
         object.__setattr__(self, "atom_probs", probs)
         if len(probs) == 0:
             raise StructuralError("a probability space needs at least one atom")
-        if len(probs) > self.atom_cap:
+        if len(probs) > DEFAULT_ATOM_CAP:
             raise StructuralError(
-                f"{len(probs)} atoms exceed the configured cap {self.atom_cap}"
+                f"{len(probs)} atoms exceed the configured cap {DEFAULT_ATOM_CAP}"
             )
         if np.isnan(w).any() or w.min() < 0.0 or w.max() > 1.0:
             a = int(np.flatnonzero(~((w >= 0.0) & (w <= 1.0)))[0])

@@ -36,7 +36,7 @@ allocates, instead of silently grinding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -70,10 +70,10 @@ DEFAULT_BUDGET = 10**8
 #: Densities below this use geometric skip sampling.
 SPARSE_THRESHOLD = 0.1
 
-#: Largest clique order supported by default (desk-scale experiments).
+#: Largest clique order supported (desk-scale experiments).
 DEFAULT_CLIQUE_CAP = 6
 
-#: Largest common-neighbour set size supported by default.
+#: Largest common-neighbour set size supported.
 DEFAULT_COMMON_NEIGHBOUR_CAP = 3
 
 
@@ -180,13 +180,11 @@ class Hypergraph:
 class StatVector:
     """Labeled count statistics of one structure.
 
-    ``kind`` names the statistic (``"degree"``, ``"hyper_degree"``,
-    ``"codegree"``, ``"clique"``, ``"common_neighbours"``,
-    ``"cond_expectation"``), ``param`` its order (``s``, ``k`` or ``h``;
-    ``None`` for plain degrees), and ``values[r]`` the count of the
-    ``r``-th subset in colexicographic order (vertex ``r`` itself for
-    1-element subsets).  ``labels`` materializes the subsets on demand —
-    cheap for degrees, ``C(n, s)`` tuples otherwise.
+    ``kind`` names the statistic (``"hyper_degree"``, ``"codegree"``,
+    ``"clique"``, ``"common_neighbours"``, ``"cond_expectation"``),
+    ``param`` its order (``s``, ``k`` or ``h``; ``None`` for hyper-degrees),
+    and ``values[r]`` the count of the ``r``-th subset in colexicographic
+    order (vertex ``r`` itself for 1-element subsets).
     """
 
     kind: str
@@ -195,7 +193,6 @@ class StatVector:
     param: int | None = None
 
     _EXPECTED_SIZE = {
-        "degree": lambda n, param: n,
         "hyper_degree": lambda n, param: n,
         "codegree": lambda n, param: math.comb(n, param),
         "clique": lambda n, param: n,
@@ -217,22 +214,6 @@ class StatVector:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    @property
-    def subset_size(self) -> int:
-        if self.kind in ("codegree", "common_neighbours"):
-            return int(self.param)  # type: ignore[arg-type]
-        return 1
-
-    @cached_property
-    def labels(self) -> tuple[tuple[int, ...], ...]:
-        size = self.subset_size
-        if size == 1:
-            return tuple((v,) for v in range(self.n))
-        return tuple(_colex_subsets(self.n, size))
-
-    def max(self) -> float:
-        return float(self.values.max())
-
 
 @dataclass(frozen=True)
 class TruncationCheck:
@@ -251,17 +232,6 @@ class TruncationCheck:
 # ---------------------------------------------------------------------------
 # Colexicographic subset enumeration
 # ---------------------------------------------------------------------------
-
-def _colex_subsets(n: int, size: int):
-    """Yield all ``size``-subsets of ``range(n)`` in colexicographic order."""
-    if size == 1:
-        for v in range(n):
-            yield (v,)
-        return
-    for largest in range(size - 1, n):
-        for rest in _colex_subsets(largest, size - 1):
-            yield rest + (largest,)
-
 
 def _comb_table(n: int, t: int) -> np.ndarray:
     """``C(v, t)`` for ``v = 0..n`` as an int64 vector."""
@@ -482,20 +452,20 @@ def _adjacency_square(g: Graph) -> np.ndarray:
     return dense @ dense.T
 
 
-def clique_counts(
-    g: Graph, k: int, *, cap: int = DEFAULT_CLIQUE_CAP
-) -> StatVector:
+def clique_counts(g: Graph, k: int) -> StatVector:
     """Number of ``k``-cliques through each vertex.
 
-    ``3 ≤ k ≤ cap`` (default 6).  ``k = 3`` halves the closed 2-walks
+    ``3 ≤ k ≤ DEFAULT_CLIQUE_CAP`` (6).  ``k = 3`` halves the closed 2-walks
     ``Σ_j (A²)_ij A_ij`` from ``i`` along edges.  The float32 ``A²`` is
     exact (see :func:`common_neighbours`), but these row sums reach
     ``(n-1)(n-2)``, past 2^24 from ``n = 4098``, so they are summed in
     float64.  Larger ``k`` enumerates ``(k-1)``-cliques inside each
     neighbourhood.
     """
-    if not (3 <= k <= cap):
-        raise DomainError(f"k = {k!r} outside the supported range [3, {cap}]")
+    if not (3 <= k <= DEFAULT_CLIQUE_CAP):
+        raise DomainError(
+            f"k = {k!r} outside the supported range [3, {DEFAULT_CLIQUE_CAP}]"
+        )
     if k == 3:
         paths = _adjacency_square(g)
         paths *= g.adjacency
@@ -527,23 +497,20 @@ def clique_cond_expectation(g: Graph, k: int, p: float) -> StatVector:
     return StatVector(kind="cond_expectation", n=g.n, values=values, param=k)
 
 
-def common_neighbours(
-    g: Graph,
-    h: int,
-    *,
-    cap: int = DEFAULT_COMMON_NEIGHBOUR_CAP,
-    budget: int = DEFAULT_BUDGET,
-) -> StatVector:
+def common_neighbours(g: Graph, h: int, *, budget: int = DEFAULT_BUDGET) -> StatVector:
     """Number of vertices adjacent to every vertex of each ``h``-subset.
 
-    ``h = 1`` gives the degree vector; ``h = 2`` reads the strictly lower
-    triangle of the float32 square ``A²``, which is exact: every partial
+    ``1 ≤ h ≤ DEFAULT_COMMON_NEIGHBOUR_CAP`` (3).  ``h = 1`` gives the
+    degree vector; ``h = 2`` reads the strictly lower triangle of the
+    float32 square ``A²``, which is exact: every partial
     sum of its 0/1 products, in any SGEMM order, is an integer below ``n``,
     and ``gen_graph``'s budget keeps ``n ≤ 14142``, far below 2^24.
     ``h = 3`` enumerates triples (budgeted at ``C(n, 3) · n`` inspections).
     """
-    if not (1 <= h <= cap):
-        raise DomainError(f"h = {h!r} outside the supported range [1, {cap}]")
+    if not (1 <= h <= DEFAULT_COMMON_NEIGHBOUR_CAP):
+        raise DomainError(
+            f"h = {h!r} outside the supported range [1, {DEFAULT_COMMON_NEIGHBOUR_CAP}]"
+        )
     if h == 1:
         return StatVector(
             kind="common_neighbours", n=g.n, values=g.degrees, param=1

@@ -294,6 +294,22 @@ def clique_overlap_enum(j: int, k: int, p: float) -> tuple[int, float, float, fl
 
 
 # ---------------------------------------------------------------------------
+# Subset enumeration
+# ---------------------------------------------------------------------------
+
+
+def colex_subsets(n: int, size: int):
+    """Yield all ``size``-subsets of ``range(n)`` in colexicographic order."""
+    if size == 1:
+        for v in range(n):
+            yield (v,)
+        return
+    for largest in range(size - 1, n):
+        for rest in colex_subsets(largest, size - 1):
+            yield rest + (largest,)
+
+
+# ---------------------------------------------------------------------------
 # Empirical-distribution helpers
 # ---------------------------------------------------------------------------
 

@@ -204,7 +204,7 @@ def test_05_gumbel_ladder_exact_cdfs(criterion_log):
 
 
 def _run(kind: str, **kwargs):
-    cfg = ExperimentConfig(kind=kind, grid=default_grid(), **kwargs)
+    cfg = ExperimentConfig(kind=kind, **kwargs)
     t0 = time.perf_counter()
     result = run_max_experiment(cfg)
     return result, time.perf_counter() - t0

@@ -24,7 +24,7 @@ import math
 import pytest
 
 from exindep import common_neighbour_constants, norm_constants
-from exindep.experiments_cli import default_grid, run_max_experiment
+from exindep.experiments_cli import run_max_experiment
 from exindep.experiments_cli.cli import main
 from exindep.experiments_cli.config import ExperimentConfig
 
@@ -114,10 +114,7 @@ class TestSimulate:
         )
         assert code == 0
         capsys.readouterr()
-        cfg = ExperimentConfig(
-            kind="graph-maxdeg", n=30, p=0.4, trials=8, seed=5,
-            grid=default_grid(),
-        )
+        cfg = ExperimentConfig(kind="graph-maxdeg", n=30, p=0.4, trials=8, seed=5)
         want = run_max_experiment(cfg)
         with open(out / "trials.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))

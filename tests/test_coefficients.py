@@ -33,7 +33,6 @@ from exindep import (
     arratia_phi_tilde,
     arratia_union_form,
     audit,
-    coefficient_report,
     declustering,
     mixing_phi,
     none_occur,
@@ -205,7 +204,6 @@ class TestSinglePass:
             arratia_phi_tilde(system, graph),
         )
         assert rep.coefficients == want
-        assert coefficient_report(system, graph) == want
         assert rep.arratia_union_lower == arratia_union_form(system, graph)
 
     def test_audit_validates_once(self, monkeypatch):
@@ -227,7 +225,7 @@ class TestInvariants:
     def test_report_invariants(self, data):
         atoms, events, dep = data
         system, graph = as_library(atoms, events, dep)
-        rep = coefficient_report(system, graph)
+        rep = audit(system, graph).coefficients
         values = [getattr(rep, f) for f in (
             "phi", "phi_plus", "phi_minus", "delta1", "delta2",
             "delta1_prime", "delta2_prime", "delta1_dprime", "delta2_dprime",

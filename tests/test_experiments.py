@@ -37,7 +37,6 @@ from exindep import (
     StructuralError,
     arratia_phi_tilde,
     audit,
-    gumbel_cdf,
     mixing_phi,
     stationary_system,
 )
@@ -195,14 +194,6 @@ class TestKsHarness:
         ref = np.array([0.0, 0.5, 0.5, 1.0])
         assert ks_distance(samples, ref, grid) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
-    def test_callable_and_array_agree(self):
-        rng = np.random.default_rng(3)
-        samples = rng.gumbel(size=400)
-        grid = default_grid()
-        via_callable = ks_distance(samples, gumbel_cdf, grid)
-        via_array = ks_distance(samples, np.array([gumbel_cdf(x) for x in grid]), grid)
-        assert via_callable == pytest.approx(via_array, abs=1e-15)
-
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(8)
         samples = rng.normal(size=250)
@@ -229,7 +220,6 @@ def _tiny_config(**overrides) -> ExperimentConfig:
         p=0.4,
         trials=25,
         seed=314,
-        grid=default_grid(),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -285,8 +275,6 @@ class TestRunMaxExperiment:
             _tiny_config(kind="clique-ext", k=3)  # needs the gumbel reference
         with pytest.raises(StructuralError):
             _tiny_config(kind="hypergraph-maxdeg")  # missing k
-        with pytest.raises(StructuralError):
-            _tiny_config(grid=np.array([0.0, 0.0, 1.0]))  # not increasing
         with pytest.raises(StructuralError):
             _tiny_config(p=1.5)
         with pytest.raises(StructuralError):

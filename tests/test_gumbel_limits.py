@@ -11,9 +11,9 @@ Core claims checked here:
   in x, and approaches ``gumbel_cdf`` as d grows (sup-grid distance
   shrinking along d = 10^2 .. 10^4);
 * clique and common-neighbour constants carry the right metadata, warn
-  outside their regimes, and the common-neighbour reference CDF is the
-  binomial law on the reduced vertex count with the powered-up edge
-  probability.
+  outside their regimes, and the ``common-neighbours`` experiment kind
+  pairs them with the binomial law on the reduced vertex count with the
+  powered-up edge probability.
 """
 
 from __future__ import annotations
@@ -26,18 +26,18 @@ import pytest
 import oracles
 from exindep import (
     DomainError,
-    GumbelRef,
     RegimeWarning,
     binomial_cdf,
     binomial_sf,
     clique_constants,
     common_neighbour_constants,
-    common_neighbour_reference_cdf,
     gumbel_cdf,
     norm_constants,
     product_max_cdf,
     tail_limit_check,
 )
+from exindep.experiments_cli import ExperimentConfig
+from exindep.experiments_cli.runner import KINDS
 
 
 def _expected_constants(d: float, N: int, p: float) -> tuple[float, float]:
@@ -158,7 +158,7 @@ class TestProductMaxCdf:
 
     def test_gumbel_reference(self):
         assert gumbel_cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert GumbelRef().cdf(2.0) == pytest.approx(oracles.gumbel(2.0), rel=1e-15)
+        assert gumbel_cdf(2.0) == pytest.approx(oracles.gumbel(2.0), rel=1e-15)
 
     def test_tail_limit_frozen(self):
         got = tail_limit_check(10**5, 10**7, 0.5, 0.0)
@@ -207,10 +207,11 @@ class TestCommonNeighbourConstants:
         assert c.p == pytest.approx(0.25, abs=1e-15)
 
     def test_reference_cdf_is_reduced_binomial(self):
-        for t in (100.0, 130.0, 150.0):
-            got = common_neighbour_reference_cdf(500, 0.5, 2, t)
-            want = binomial_cdf(498, 0.25, t)
-            assert got == pytest.approx(want, rel=1e-14)
+        cfg = ExperimentConfig(
+            kind="common-neighbours", n=500, p=0.5, trials=1, seed=0, h=2
+        )
+        want = (math.comb(500, 2), 498, 0.25)
+        assert KINDS["common-neighbours"].binomial(cfg) == want
 
     def test_dense_edge_regime_warns(self):
         # 1 - p below sqrt(loglog n / log n) triggers the regime warning

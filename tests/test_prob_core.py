@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
+from exindep import prob_core
 from exindep import (
     DependencyGraph,
     DroppedEventsWarning,
@@ -54,10 +55,11 @@ class TestProbSpace:
         with pytest.raises(StructuralError):
             ProbSpace((0.5, 0.6))
 
-    def test_rejects_atom_count_over_cap(self):
+    def test_rejects_atom_count_over_cap(self, monkeypatch):
         n = 32
+        monkeypatch.setattr(prob_core, "DEFAULT_ATOM_CAP", n - 1)
         with pytest.raises(StructuralError):
-            ProbSpace((1.0 / n,) * n, atom_cap=n - 1)
+            ProbSpace((1.0 / n,) * n)
 
     def test_weights_read_only(self):
         space = ProbSpace(PAIR_ATOMS)

@@ -7,7 +7,7 @@ Core claims checked here:
   grid, with the frozen golden at x = 2;
 * ``berman_pair_bound`` dominates the exact bivariate-normal joint-CDF
   discrepancy computed by Gauss-Legendre quadrature, for equal and
-  unequal thresholds, both variance-factor variants;
+  unequal thresholds;
 * both Chernoff forms and both Janson forms match their closed formulas
   and clamp at 1;
 * ``clique_overlap`` agrees exactly with subset enumeration, including
@@ -65,9 +65,6 @@ class TestBermanPairBound:
         assert berman_pair_bound(2.0, 2.0, 0.5) == pytest.approx(
             0.006384705735460192, rel=1e-14
         )
-        assert berman_pair_bound(
-            2.0, 2.0, 0.5, loose_variance_factor=True
-        ) == pytest.approx(0.007372423150128977, rel=1e-14)
 
     def test_matches_closed_form(self):
         u_i, u_j, r = 1.5, 2.5, -0.4
@@ -95,12 +92,6 @@ class TestBermanPairBound:
         bound = berman_pair_bound(u_i, u_j, r)
         exact = oracles.bvn_discrepancy(u_i, u_j, r)
         assert bound >= exact - 1e-15
-
-    def test_loose_factor_dominates_tight(self):
-        for r in (0.2, -0.6, 0.75):
-            tight = berman_pair_bound(2.0, 1.0, r)
-            loose = berman_pair_bound(2.0, 1.0, r, loose_variance_factor=True)
-            assert loose >= tight
 
     def test_zero_correlation_is_zero(self):
         assert berman_pair_bound(1.0, 2.0, 0.0) == 0.0
