@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 

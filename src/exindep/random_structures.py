@@ -10,7 +10,8 @@ counter-based stream keyed by the seed — so edge draws are independent of
 generation order and chunking.  Two regimes share that stream contract but
 consume it differently (documented, both seed-stable):
 
-* dense (``p ≥ 0.1``): one uniform per rank, edge present iff ``u < p``;
+* dense (``p ≥ 0.1``): one uniform per rank, edge present iff ``u < p``,
+  decided on the raw 64-bit word without forming ``u``;
 * sparse (``p < 0.1``): geometric gaps between successive present ranks.
 
 A graph and a 2-uniform hypergraph built from the same seed coincide
@@ -21,12 +22,19 @@ colex ranks of its edges as drawn; its vertex rows are unranked only when
 Statistics
 ----------
 Exact integer counts per labeled subset: degrees, codegrees of ``s``-sets
-(number of edges containing the set, counted from the stored ranks by the
-incidence kernel that also gives hyper-degrees), per-vertex ``k``-clique
+(number of edges containing the set), per-vertex ``k``-clique
 counts (via neighbourhood-restricted enumeration), degree-conditional
 clique expectations, common-neighbour counts of ``h``-sets, the typicality
 event bounding all lower-order common-neighbour counts, and the worst
 pair-codegree deviation used as a surrogate-independence diagnostic.
+
+Codegrees and hyper-degrees come from one incidence kernel that reads the
+stored ranks without unranking them.  In colex order, the edges sharing
+their ``j`` largest vertices form contiguous blocks, so on sorted ranks
+(a copy is sorted when they are not; counts do not depend on order) each
+level ``j < s`` is one ``searchsorted`` of the block starts and one
+``bincount`` of the edges by (block, rank of the rest), pushed through a
+cached table of ``s``-subset ranks; level ``s`` is the block sizes.
 
 Subset enumeration is budgeted: any generator or statistic that would
 enumerate or inspect more than ``budget`` sets or table cells (default
@@ -267,8 +275,17 @@ def _unrank_colex(ranks: np.ndarray, n: int, size: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _dense_mask(total: int, p: float, seed: int) -> np.ndarray:
-    """Dense draw: rank ``r`` is present iff the ``r``-th uniform is below ``p``."""
-    return stream(seed).random(total) < p
+    """Dense draw: rank ``r`` is present iff the ``r``-th uniform is below ``p``.
+
+    Compares raw words, bit for bit the same as ``stream(seed).random(total)
+    < p``: for Philox, numpy's ``random`` turns the word ``w`` into
+    ``(w >> 11)·2^-53``, and ``p·2^53`` is exact in floating point, so
+    ``u < p`` iff ``(w >> 11) < ceil(p·2^53)``, iff ``w < ceil(p·2^53)·2^11``,
+    which skips the shift.  With ``p < 1`` the bound is at most
+    ``(2^53 - 1)·2^11`` and fits in ``uint64``.
+    """
+    bound = np.uint64(math.ceil(p * 2.0**53) << 11)
+    return stream(seed).bit_generator.random_raw(total) < bound
 
 
 def _present_ranks(total: int, p: float, seed: int) -> np.ndarray:
@@ -342,7 +359,7 @@ def gen_hypergraph(
 # ---------------------------------------------------------------------------
 
 def hyper_degrees(h: Hypergraph) -> StatVector:
-    """Number of edges through each vertex."""
+    """Number of edges through each vertex, counted by :func:`_incidence_counts`."""
     counts = _incidence_counts(h.ranks, h.n, h.k, 1, DEFAULT_BUDGET)
     return StatVector(kind="hyper_degree", n=h.n, values=counts)
 
@@ -350,11 +367,11 @@ def hyper_degrees(h: Hypergraph) -> StatVector:
 def codegrees(h: Hypergraph, s: int, *, budget: int = DEFAULT_BUDGET) -> StatVector:
     """Codegree of every ``s``-subset: the number of edges containing it.
 
-    Requires ``1 ≤ s < k``.  Inspects ``C(n, s)`` result slots plus
-    ``C(k, s)`` sub-subsets per edge, all charged against ``budget``; the
-    incidence table of ``C(n-1, k-1)·C(k, s)`` cells is charged to it
-    separately before it is built.  Counts come straight from the stored
-    ranks, without unranking the edges.
+    Requires ``1 ≤ s < k``.  The ``C(n, s)`` result slots plus the
+    ``C(k, s)`` ``s``-subsets of each edge are charged against ``budget``,
+    and :func:`_incidence_counts` charges its histograms and tables to it
+    separately before it builds them.  Counts come straight from the
+    stored ranks, block by block, without unranking the edges.
     """
     if not (1 <= s < h.k):
         raise DomainError(f"need 1 ≤ s < k, got s = {s!r}, k = {h.k}")
@@ -364,26 +381,56 @@ def codegrees(h: Hypergraph, s: int, *, budget: int = DEFAULT_BUDGET) -> StatVec
     return StatVector(kind="codegree", n=h.n, values=counts, param=s)
 
 
-@lru_cache(maxsize=4)
-def _incidence_table(n: int, size: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Colex ranks of the ``s``- and ``(s-1)``-subsets of each ``size``-subset.
+@lru_cache(maxsize=8)
+def _incidence_table(n: int, size: int, s: int) -> np.ndarray:
+    """Colex ranks of the ``s``-subsets of each ``size``-subset of ``range(n)``.
 
-    Column ``j`` describes the ``size``-subset of ``range(n)`` with colex
-    rank ``j``: ``low[c, j]`` is the rank of its ``c``-th ``s``-subset and
-    ``mid[c, j]`` that of its ``c``-th ``(s-1)``-subset (the empty set has
-    rank 0).  Both are read-only, since the cache shares them.
+    ``low[c, j]`` is the rank of the ``c``-th ``s``-subset of the
+    ``size``-subset with colex rank ``j``.  Read-only, since the cache
+    shares it.
     """
     vertices = _unrank_colex(np.arange(math.comb(n, size), dtype=np.int64), n, size)
+    low = np.empty((math.comb(size, s), vertices[0].size), dtype=np.int64)
+    for row, pick in zip(low, combinations(range(size), s)):
+        row[:] = _colex_ranks([vertices[c] for c in pick], n)
+    low.flags.writeable = False
+    return low
 
-    def sub_ranks(t: int) -> np.ndarray:
-        table = np.zeros((math.comb(size, t), vertices[0].size), dtype=np.int64)
-        for row, pick in zip(table, combinations(range(size), t)):
-            if pick:
-                row[:] = _colex_ranks([vertices[c] for c in pick], n)
+
+@lru_cache(maxsize=8)
+def _block_tables(
+    n: int, k: int, level: int, s: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block tables of one level of :func:`_incidence_counts`.
+
+    A level-``(level+1)`` block holds the ``k``-subsets whose
+    ``level + 1`` largest vertices are a given set ``W``; the blocks are
+    indexed by the colex rank of ``W`` and tile ``[0, C(n, k))`` in that
+    order.  ``starts[b]`` is the first rank of block ``b``, and an edge
+    of rank ``r`` in block ``b`` has histogram cell ``r + offsets[b]``:
+    the rank of ``W`` without its smallest vertex (the level-``level``
+    block), times ``C(n-1-level, k-1-level)``, plus the colex rank of the
+    edge's other ``k - 1 - level`` vertices.  ``bases[a]`` is the part ``Σ_i
+    C(t_i, s-i+1)`` that the ``level`` vertices ``t_1 > t_2 > ...`` of
+    level-``level`` block ``a`` contribute to the rank of an ``s``-subset
+    holding them as its largest vertices.  All read-only.
+    """
+    tops = _unrank_colex(np.arange(math.comb(n, level + 1), dtype=np.int64), n, level + 1)
+    starts = np.zeros(tops[0].size, dtype=np.int64)
+    for t, column in enumerate(tops, start=k - level):
+        starts += _comb_table(n, t)[column]
+    offsets = -starts
+    if level:
+        offsets += _colex_ranks(tops[1:], n) * math.comb(n - 1 - level, k - 1 - level)
+        heads = _unrank_colex(np.arange(math.comb(n, level), dtype=np.int64), n, level)
+        bases = np.zeros(heads[0].size, dtype=np.int64)
+        for t, column in enumerate(heads, start=s - level + 1):
+            bases += _comb_table(n, t)[column]
+    else:
+        bases = np.zeros(1, dtype=np.int64)
+    for table in (starts, offsets, bases):
         table.flags.writeable = False
-        return table
-
-    return sub_ranks(s), sub_ranks(s - 1)
+    return starts, offsets, bases
 
 
 def _incidence_counts(
@@ -391,38 +438,49 @@ def _incidence_counts(
 ) -> np.ndarray:
     """Number of edges, given by colex ``ranks``, containing each ``s``-subset.
 
-    An edge splits into its largest vertex ``top`` and the other ``k - 1``
-    vertices, whose colex rank among the subsets of ``range(n - 1)`` is
-    ``rest = rank - C(top, k)``.  Its ``s``-subsets either avoid ``top``
-    (the ``s``-subsets of ``rest``, counted once per distinct ``rest`` via
-    its multiplicity) or contain it (``top`` plus an ``(s-1)``-subset of
-    ``rest``, of rank ``C(top, s) + mid``).  Requires ``1 ≤ s < k``; the
-    table's ``C(n-1, k-1)·C(k, s)`` cells are charged to ``budget`` first.
+    In colex order the edges sharing their ``j`` largest vertices are
+    contiguous, so one ``searchsorted`` of the block starts into sorted
+    ranks splits them into blocks (unsorted ranks are sorted in a copy
+    first; the counts do not depend on order).  An ``s``-subset ``S`` of
+    an edge holds the edge's ``j`` largest vertices for some largest
+    ``j ≤ s``.  For ``j < s``, ``S`` misses the ``(j+1)``-th largest one,
+    so ``S`` is fixed by the level-``j`` block and an ``(s-j)``-subset of
+    the other ``k-1-j`` vertices.  Level ``j`` therefore histograms the
+    edges by (block, colex rank of those vertices) with one ``bincount``
+    and pushes the histogram through the rows of
+    ``_incidence_table(n-1-j, k-1-j, s-j)``, shifted by the block's slot
+    base.  For ``j = s``, ``S`` is a level-``s`` block, whose colex index
+    is ``S``'s slot, so its count is the block's size.  Requires
+    ``1 ≤ s < k``; every histogram and table cell is charged to
+    ``budget`` first.
     """
-    cells = math.comb(n - 1, k - 1) * math.comb(k, s)
-    _charge_budget(cells, f"incidence table for s = {s}: {cells} cells", budget)
-    low, mid = _incidence_table(n - 1, k - 1, s)
+    cells = 0
+    for level in range(s):
+        rest = math.comb(n - 1 - level, k - 1 - level)
+        cells += math.comb(n, level) * rest  # histogram
+        cells += rest * math.comb(k - 1 - level, s - level)  # _incidence_table
+        cells += 2 * math.comb(n, level + 1) + math.comb(n, level)  # _block_tables
+    _charge_budget(cells, f"incidence tables for s = {s}: {cells} cells", budget)
+    if np.any(ranks[1:] < ranks[:-1]):
+        ranks = np.sort(ranks)
     slots = math.comb(n, s)
-    offsets = _comb_table(n, k)
-    top = np.searchsorted(offsets, ranks, side="right")
-    top -= 1
-    rest = offsets[top]
-    np.subtract(ranks, rest, out=rest)
     # weighted sums are exact: every partial sum is an integer below 2^53
-    multiplicity = np.bincount(rest, minlength=low.shape[1]).astype(np.float64)
-    avoiding = np.zeros(slots, dtype=np.float64)
-    for column in low:
-        avoiding += np.bincount(column, weights=multiplicity, minlength=slots)
-    counts = avoiding.astype(np.int64)
-    top_rank = _comb_table(n, s)[top]
-    slot = top  # reuse the buffer: ``top`` is not needed past this point
-    for column in mid:
-        # 0 ≤ rest < C(top, k-1) ≤ C(n-1, k-1), so "clip" never clips; it
-        # only spares the copy that take(out=...) makes in "raise" mode
-        np.take(column, rest, out=slot, mode="clip")
-        slot += top_rank
-        counts += np.bincount(slot, minlength=slots)
-    return counts
+    counts = np.zeros(slots, dtype=np.float64)
+    for level in range(s):
+        starts, offsets, bases = _block_tables(n, k, level, s)
+        low = _incidence_table(n - 1 - level, k - 1 - level, s - level)
+        sizes = np.diff(np.searchsorted(ranks, starts), append=ranks.size)
+        cell = np.repeat(offsets, sizes)
+        cell += ranks
+        multiplicity = np.bincount(cell, minlength=bases.size * low.shape[1])
+        multiplicity = multiplicity.astype(np.float64)
+        for row in low:
+            # a (block, rest) pair no edge has weighs 0; every slot stays
+            # below C(n, s), since bases and row peak at the last s-subset
+            slot = (bases[:, None] + row).reshape(-1)
+            counts += np.bincount(slot, weights=multiplicity, minlength=slots)
+    # the last level's blocks are the s-subsets themselves, in slot order
+    return counts.astype(np.int64) + sizes
 
 
 def _cliques_within(adj: np.ndarray, candidates: np.ndarray, size: int) -> int:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import time
 
-import numpy as np
 import pytest
 
 import oracles

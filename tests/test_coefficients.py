@@ -41,8 +41,6 @@ from exindep import (
 from helpers import (
     PAIR_ATOMS,
     PAIR_EVENTS,
-    XOR_ATOMS,
-    XOR_EVENTS,
     as_library,
     complete_dep,
     correlated_pair,

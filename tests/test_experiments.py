@@ -47,7 +47,6 @@ from exindep.experiments_cli import (
     EVENT_FAMILIES,
     EXPERIMENT_KINDS,
     TRIALS_HEADER,
-    EmpiricalResult,
     ExperimentConfig,
     SystemGenSpec,
     bound_audit_run,

@@ -14,7 +14,10 @@ Core claims checked here:
 * hypergraphs store colex ranks: ``from_edges`` validates vertex rows and
   round-trips them, and the rank-based incidence kernel behind
   ``hyper_degrees``/``codegrees`` equals a brute-force recount for every
-  ``s < k ≤ n ≤ 11`` in both draw regimes;
+  ``s < k ≤ n ≤ 11`` in both draw regimes, on drawn ranks and on the same
+  ranks shuffled with repeats;
+* the dense draw, which compares raw Philox words, equals ``u < p`` on
+  the uniforms of the same stream;
 * resource budgets trip ``ResourceBudgetError`` before any large
   allocation happens.
 """
@@ -23,12 +26,14 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
 from exindep import random_structures
+from exindep._rng import stream
 from exindep import (
     DomainError,
     Graph,
@@ -264,31 +269,73 @@ class TestIncidenceKernel:
         # p < SPARSE_THRESHOLD exercises the geometric-gap draw
         for n in range(2, 12):
             for k in range(2, n + 1):
-                hg = gen_hypergraph(n, k, p, 31 * n + k)
-                rows = [tuple(r) for r in hg.edges.tolist()]
-                assert hyper_degrees(hg).values.tolist() == [
-                    sum(v in r for r in rows) for v in range(n)
-                ]
-                for s in range(1, k):
-                    want: dict[tuple[int, ...], int] = {}
-                    for r in rows:
-                        for sub in combinations(r, s):
-                            want[sub] = want.get(sub, 0) + 1
-                    got = codegrees(hg, s).values.tolist()
-                    assert got == [
-                        want.get(sub, 0)
-                        for sub in oracles.colex_subsets(n, s)
-                    ], f"n={n}, k={k}, s={s}, p={p}"
+                drawn = gen_hypergraph(n, k, p, 31 * n + k)
+                drawn_rows = [tuple(r) for r in drawn.edges.tolist()]
+                # the same edges shuffled, with about half of them repeated:
+                # the kernel must sort a copy and count every repeat
+                rng = np.random.default_rng(31 * n + k)
+                m = drawn.edge_count
+                picks = rng.permutation(
+                    np.concatenate([np.arange(m), rng.integers(0, max(m, 1), m // 2)])
+                )
+                shuffled = Hypergraph(n, k, ranks=drawn.ranks[picks])
+                shuffled_rows = [drawn_rows[i] for i in picks.tolist()]
+                for order, hg, rows in (
+                    ("drawn", drawn, drawn_rows),
+                    ("shuffled", shuffled, shuffled_rows),
+                ):
+                    assert hyper_degrees(hg).values.tolist() == [
+                        sum(v in r for r in rows) for v in range(n)
+                    ], f"n={n}, k={k}, p={p}, {order}"
+                    for s in range(1, k):
+                        want: dict[tuple[int, ...], int] = {}
+                        for r in rows:
+                            for sub in combinations(r, s):
+                                want[sub] = want.get(sub, 0) + 1
+                        got = codegrees(hg, s).values.tolist()
+                        assert got == [
+                            want.get(sub, 0)
+                            for sub in oracles.colex_subsets(n, s)
+                        ], f"n={n}, k={k}, s={s}, p={p}, {order}"
 
     def test_table_budget_checked_before_building(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("incidence table built despite the budget")
 
         monkeypatch.setattr(random_structures, "_incidence_table", refuse)
+        monkeypatch.setattr(random_structures, "_block_tables", refuse)
         hg = gen_hypergraph(100, 4, 0.0, 1)
-        # C(100,2) slots fit the budget, C(99,3)·C(4,2) = 941094 cells do not
-        with pytest.raises(ResourceBudgetError, match="941094 cells"):
+        # C(100,2) slots fit the budget; the kernel's cells do not: per level
+        # j < 2 a C(100,j)·C(99-j,3-j) histogram, a C(99-j,3-j)·C(3-j,2-j)
+        # incidence table and 2·C(100,j+1) + C(100,j) block-table cells,
+        # (156849 + 470547 + 201) + (475300 + 9506 + 10000) = 1122403
+        with pytest.raises(ResourceBudgetError, match="1122403 cells"):
             codegrees(hg, 2, budget=10**5)
+
+    @pytest.mark.parametrize("p", [0.1, 0.2, 1 / 3, 0.5, 0.7, 0.9, np.nextafter(1.0, 0.0)])
+    def test_dense_mask_equals_uniform_draw(self, p, monkeypatch):
+        # p·2^53 is integral for p ≥ 0.5 and fractional for 0.1, 0.2 and 1/3
+        p = float(p)
+        for seed in (1, 2, 3):
+            want = stream(seed).random(10_007) < p
+            got = random_structures._dense_mask(10_007, p, seed)
+            assert got.dtype == bool
+            assert np.array_equal(got, want), (p, seed)
+        # a random draw lands next to the threshold with probability 2^-52,
+        # so feed the words on either side of it and compare with numpy's
+        # conversion (w >> 11)·2^-53
+        top = math.ceil(p * 2.0**53)
+        words = [
+            w
+            for base in (top - 1, top, top + 1)
+            for w in (base << 11, (base << 11) | 2047)
+            if w < 2**64
+        ]
+        raw = np.array(words, dtype=np.uint64)
+        fake = SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda total: raw))
+        monkeypatch.setattr(random_structures, "stream", lambda seed: fake)
+        got = random_structures._dense_mask(raw.size, p, 0)
+        assert got.tolist() == [(w >> 11) * 2.0**-53 < p for w in words]
 
     def test_gen_graph_budget_checked_before_drawing(self, monkeypatch):
         def refuse(*args):
